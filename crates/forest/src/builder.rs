@@ -1,5 +1,20 @@
 //! Tree construction: random upper layers + greedy Gini nodes with cached
 //! candidate-threshold statistics.
+//!
+//! One [`TreeBuilder`] serves one build: a fit, or every rebuild and
+//! replenishment of one delete or insert pass. It recurses over a borrowed
+//! id slice that it partitions in place, and keeps every per-node working
+//! set (attribute order, cut list, label-split histogram, candidate
+//! staging, partition spill) in scratch buffers reused from node to node.
+//! A node therefore allocates only what the finished tree keeps: a leaf's
+//! id list, a boxed internal node and its exact-size candidate pool.
+//!
+//! A built tree is a pure function of the ids' order, the configuration
+//! and the RNG stream. The order and slice length of every RNG draw (the
+//! attribute shuffle, each random threshold, each cut-list shuffle) and
+//! the stability of every partition are part of that contract: seeded
+//! forests, their persisted bytes and the retrains of every later delete
+//! depend on them.
 
 use fume_tabular::cast::{code_u16, row_u32};
 use fume_tabular::rng::{Rng, SliceRandom, StdRng};
@@ -14,76 +29,36 @@ use crate::node::{Candidate, Internal, Leaf, Node};
 /// retrain on floating-point noise.
 pub(crate) const GAIN_EPS: f64 = 1e-12;
 
-/// Per-attribute label histogram over a set of instance ids.
-pub(crate) struct Histogram {
-    /// `counts[c]` = instances with code `c`.
-    pub counts: Vec<u32>,
-    /// `pos[c]` = positive instances with code `c`.
-    pub pos: Vec<u32>,
-}
+/// One histogram bin: `[instances, positive instances]`.
+type Bin = [u32; 2];
 
-impl Histogram {
-    pub(crate) fn compute(data: &Dataset, attr: usize, ids: &[u32]) -> Self {
-        let card = data.schema().attributes()[attr].cardinality() as usize;
-        let column = data.column(attr);
-        let labels = data.labels();
-        let mut counts = vec![0u32; card];
-        let mut pos = vec![0u32; card];
-        for &id in ids {
-            let c = column[id as usize] as usize;
-            counts[c] += 1;
-            pos[c] += u32::from(labels[id as usize]);
-        }
-        Self { counts, pos }
-    }
-
-    /// Distinct codes present, ascending.
-    pub(crate) fn present(&self) -> Vec<u16> {
-        self.counts
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c > 0)
-            .map(|(i, _)| code_u16(i))
-            .collect()
-    }
-
-    /// `(n_left, n_left_pos)` of the cut `code <= threshold`.
-    pub(crate) fn left_stats(&self, threshold: u16) -> (u32, u32) {
-        let t = threshold as usize;
-        let n_left: u32 = self.counts[..=t].iter().sum();
-        let n_left_pos: u32 = self.pos[..=t].iter().sum();
-        (n_left, n_left_pos)
-    }
-}
-
-/// Stable partition of `ids` into (left, right) by `code <= threshold`.
-pub(crate) fn partition(
-    data: &Dataset,
-    ids: &[u32],
-    attr: u16,
-    threshold: u16,
-) -> (Vec<u32>, Vec<u32>) {
+/// Fills `hist` with the label-split histogram of `attr` over `ids`:
+/// `hist[c]` counts the instances with code `c` and the positive ones.
+fn fill_histogram(hist: &mut Vec<Bin>, data: &Dataset, attr: u16, ids: &[u32]) {
+    let card = data.schema().attributes()[attr as usize].cardinality() as usize;
+    hist.clear();
+    hist.resize(card, [0, 0]);
     let column = data.column(attr as usize);
-    let mut left = Vec::new();
-    let mut right = Vec::new();
-    for &id in ids {
-        if column[id as usize] <= threshold {
-            left.push(id);
-        } else {
-            right.push(id);
-        }
-    }
-    (left, right)
-}
-
-fn count_pos(data: &Dataset, ids: &[u32]) -> u32 {
     let labels = data.labels();
-    row_u32(ids.iter().filter(|&&id| labels[id as usize]).count())
+    for &id in ids {
+        let bin = &mut hist[column[id as usize] as usize];
+        bin[0] += 1;
+        bin[1] += u32::from(labels[id as usize]);
+    }
 }
 
-fn make_leaf(data: &Dataset, ids: Vec<u32>) -> Node {
-    let n_pos = count_pos(data, &ids);
-    Node::Leaf(Leaf { ids, n_pos })
+/// Turns a histogram into running totals: `hist[t]` becomes the
+/// `[n_left, n_left_pos]` of the cut `code <= t`.
+fn accumulate(hist: &mut [Bin]) {
+    for c in 1..hist.len() {
+        let prev = hist[c - 1];
+        hist[c][0] += prev[0];
+        hist[c][1] += prev[1];
+    }
+}
+
+fn leaf(ids: &[u32], n_pos: u32) -> Node {
+    Node::Leaf(Leaf { ids: ids.to_vec(), n_pos })
 }
 
 /// Whether a candidate split separates the node's data while honoring the
@@ -118,157 +93,246 @@ pub(crate) fn best_candidate(
     best.map(|(i, _)| i)
 }
 
-/// Samples up to `k` cut thresholds for `attr` from the histogram's present
-/// codes (every present code except the largest is a valid cut), without
-/// replacement, and computes their statistics. `exclude` suppresses cuts
-/// already cached (used when replenishing after unlearning).
-pub(crate) fn sample_candidates(
-    hist: &Histogram,
-    attr: u16,
-    k: usize,
-    exclude: &[u16],
-    rng: &mut StdRng,
-) -> Vec<Candidate> {
-    let present = hist.present();
-    if present.len() < 2 {
-        return Vec::new();
-    }
-    let mut cuts: Vec<u16> = present[..present.len() - 1]
-        .iter()
-        .copied()
-        .filter(|c| !exclude.contains(c))
-        .collect();
-    cuts.shuffle(rng);
-    cuts.truncate(k);
-    // Deterministic order within the node regardless of shuffle: sort the
-    // chosen cuts so equal RNG states give identical candidate layouts.
-    cuts.sort_unstable();
-    cuts.into_iter()
-        .map(|threshold| {
-            let (n_left, n_left_pos) = hist.left_stats(threshold);
-            Candidate { attr, threshold, n_left, n_left_pos }
-        })
-        .collect()
+/// Builds trees, and the statistics updates of unlearning and insertion,
+/// out of scratch buffers that live as long as the builder.
+#[must_use = "a builder does nothing until asked to build"]
+pub(crate) struct TreeBuilder<'a> {
+    data: &'a Dataset,
+    cfg: &'a DareConfig,
+    /// The current node's attribute order, reset to `0..p` and shuffled.
+    attrs: Vec<u16>,
+    /// Cut thresholds of the attribute being sampled.
+    cuts: Vec<u16>,
+    /// Label-split histogram of the attribute being examined.
+    hist: Vec<Bin>,
+    /// The current greedy node's candidates, or a replenishment's.
+    staging: Vec<Candidate>,
+    /// Right-hand ids of the partition in progress.
+    spill: Vec<u32>,
 }
 
-/// Recursively builds a (sub)tree over `ids` rooted at `depth`.
-pub(crate) fn build_node(
-    data: &Dataset,
-    ids: Vec<u32>,
-    depth: usize,
-    rng: &mut StdRng,
-    cfg: &DareConfig,
-) -> Node {
-    let n = row_u32(ids.len());
-    let n_pos = count_pos(data, &ids);
-    if n < cfg.min_samples_split || n_pos == 0 || n_pos == n || depth >= cfg.max_depth {
-        return make_leaf(data, ids);
-    }
-
-    if depth < cfg.random_depth {
-        return build_random_node(data, ids, n, n_pos, depth, rng, cfg);
-    }
-    build_greedy_node(data, ids, n, n_pos, depth, rng, cfg)
-}
-
-/// A random upper-layer node: uniformly random attribute, uniformly random
-/// threshold within that attribute's observed code range. Both children are
-/// non-empty by construction (`threshold ∈ [min, max)`).
-fn build_random_node(
-    data: &Dataset,
-    ids: Vec<u32>,
-    n: u32,
-    n_pos: u32,
-    depth: usize,
-    rng: &mut StdRng,
-    cfg: &DareConfig,
-) -> Node {
-    let p = data.num_attributes();
-    let mut attrs: Vec<u16> = (0..code_u16(p)).collect();
-    attrs.shuffle(rng);
-    for attr in attrs {
-        let column = data.column(attr as usize);
-        let (mut lo, mut hi) = (u16::MAX, 0u16);
-        for &id in &ids {
-            let c = column[id as usize];
-            lo = lo.min(c);
-            hi = hi.max(c);
+impl<'a> TreeBuilder<'a> {
+    /// A builder over `data`; its buffers grow on first use.
+    pub(crate) fn new(data: &'a Dataset, cfg: &'a DareConfig) -> Self {
+        Self {
+            data,
+            cfg,
+            attrs: Vec::new(),
+            cuts: Vec::new(),
+            hist: Vec::new(),
+            staging: Vec::new(),
+            spill: Vec::new(),
         }
-        if lo >= hi {
-            continue; // constant attribute in this node
-        }
-        let threshold = rng.gen_range(lo..hi);
-        let (left_ids, right_ids) = partition(data, &ids, attr, threshold);
-        if row_u32(left_ids.len()) < cfg.min_samples_leaf
-            || row_u32(right_ids.len()) < cfg.min_samples_leaf
-        {
-            continue;
-        }
-        let left = build_node(data, left_ids, depth + 1, rng, cfg);
-        let right = build_node(data, right_ids, depth + 1, rng, cfg);
-        return Node::Internal(Box::new(Internal {
-            attr,
-            threshold,
-            is_random: true,
-            n,
-            n_pos,
-            candidates: Vec::new(),
-            chosen: 0,
-            left,
-            right,
-        }));
     }
-    // No attribute can split this node's data.
-    make_leaf(data, ids)
-}
 
-/// A greedy node: samples `p̃` attributes and `k'` thresholds per attribute,
-/// caches every candidate's statistics, and splits on the best Gini gain.
-fn build_greedy_node(
-    data: &Dataset,
-    ids: Vec<u32>,
-    n: u32,
-    n_pos: u32,
-    depth: usize,
-    rng: &mut StdRng,
-    cfg: &DareConfig,
-) -> Node {
-    let p = data.num_attributes();
-    let p_tilde = cfg.max_features.resolve(p);
-    let mut attrs: Vec<u16> = (0..code_u16(p)).collect();
-    attrs.shuffle(rng);
-    attrs.truncate(p_tilde);
-    attrs.sort_unstable(); // deterministic candidate layout
-
-    let mut candidates = Vec::new();
-    for attr in attrs {
-        let hist = Histogram::compute(data, attr as usize, &ids);
-        candidates.extend(sample_candidates(&hist, attr, cfg.n_thresholds, &[], rng));
+    /// The dataset this builder reads.
+    pub(crate) fn data(&self) -> &'a Dataset {
+        self.data
     }
-    // Only cache candidates the builder could actually choose: cuts that
-    // violate the leaf-size minimum would be dead weight and would break
-    // the "every cached candidate is valid" invariant that unlearning's
-    // replenishment step maintains.
-    candidates.retain(|c| candidate_valid(c, n, cfg));
 
-    match best_candidate(&candidates, n, n_pos, cfg) {
-        None => make_leaf(data, ids),
-        Some(chosen) => {
-            let (attr, threshold) = (candidates[chosen].attr, candidates[chosen].threshold);
-            let (left_ids, right_ids) = partition(data, &ids, attr, threshold);
-            let left = build_node(data, left_ids, depth + 1, rng, cfg);
-            let right = build_node(data, right_ids, depth + 1, rng, cfg);
-            Node::Internal(Box::new(Internal {
+    /// Builds a (sub)tree over `ids` rooted at `depth`. Leaves keep the
+    /// ids in their order within `ids`; `ids` is left partitioned.
+    pub(crate) fn build(&mut self, ids: &mut [u32], depth: usize, rng: &mut StdRng) -> Node {
+        let labels = self.data.labels();
+        let n_pos = row_u32(ids.iter().filter(|&&id| labels[id as usize]).count());
+        self.build_node(ids, n_pos, depth, rng)
+    }
+
+    fn build_node(&mut self, ids: &mut [u32], n_pos: u32, depth: usize, rng: &mut StdRng) -> Node {
+        let cfg = self.cfg;
+        let n = row_u32(ids.len());
+        if n < cfg.min_samples_split || n_pos == 0 || n_pos == n || depth >= cfg.max_depth {
+            return leaf(ids, n_pos);
+        }
+        if depth < cfg.random_depth {
+            return self.random_node(ids, n_pos, depth, rng);
+        }
+        self.greedy_node(ids, n_pos, depth, rng)
+    }
+
+    /// Resets the attribute order to `0..p` and shuffles it: `p - 1` draws.
+    fn shuffle_attrs(&mut self, rng: &mut StdRng) {
+        self.attrs.clear();
+        self.attrs.extend(0..code_u16(self.data.num_attributes()));
+        self.attrs.shuffle(rng);
+    }
+
+    /// A random upper-layer node: uniformly random attribute, uniformly
+    /// random threshold within that attribute's observed code range. Both
+    /// children are non-empty by construction (`threshold ∈ [min, max)`).
+    fn random_node(&mut self, ids: &mut [u32], n_pos: u32, depth: usize, rng: &mut StdRng) -> Node {
+        let n = row_u32(ids.len());
+        let msl = self.cfg.min_samples_leaf;
+        self.shuffle_attrs(rng);
+        for i in 0..self.attrs.len() {
+            let attr = self.attrs[i];
+            fill_histogram(&mut self.hist, self.data, attr, ids);
+            let lo = self.hist.iter().position(|b| b[0] > 0);
+            let hi = self.hist.iter().rposition(|b| b[0] > 0);
+            let (Some(lo), Some(hi)) = (lo, hi) else { continue };
+            if lo >= hi {
+                continue; // constant attribute in this node
+            }
+            let threshold = rng.gen_range(code_u16(lo)..code_u16(hi));
+            accumulate(&mut self.hist[..=threshold as usize]);
+            let [n_left, n_left_pos] = self.hist[threshold as usize];
+            if n_left < msl || n - n_left < msl {
+                continue;
+            }
+            self.partition(ids, attr, threshold);
+            let (left_ids, right_ids) = ids.split_at_mut(n_left as usize);
+            let left = self.build_node(left_ids, n_left_pos, depth + 1, rng);
+            let right = self.build_node(right_ids, n_pos - n_left_pos, depth + 1, rng);
+            return Node::Internal(Box::new(Internal {
                 attr,
                 threshold,
-                is_random: false,
+                is_random: true,
                 n,
                 n_pos,
-                candidates,
-                chosen: row_u32(chosen),
+                candidates: Vec::new(),
+                chosen: 0,
                 left,
                 right,
-            }))
+            }));
+        }
+        // No attribute can split this node's data.
+        leaf(ids, n_pos)
+    }
+
+    /// A greedy node: samples `p̃` attributes and `k'` thresholds per
+    /// attribute, caches every candidate's statistics, and splits on the
+    /// best Gini gain.
+    fn greedy_node(&mut self, ids: &mut [u32], n_pos: u32, depth: usize, rng: &mut StdRng) -> Node {
+        let cfg = self.cfg;
+        let n = row_u32(ids.len());
+        self.shuffle_attrs(rng);
+        self.attrs.truncate(cfg.max_features.resolve(self.data.num_attributes()));
+        self.attrs.sort_unstable(); // deterministic candidate layout
+
+        self.staging.clear();
+        for i in 0..self.attrs.len() {
+            self.sample_candidates(ids, self.attrs[i], cfg.n_thresholds, &[], rng);
+        }
+        // Only cache candidates the builder could actually choose: cuts that
+        // violate the leaf-size minimum would be dead weight and would break
+        // the "every cached candidate is valid" invariant that unlearning's
+        // replenishment step maintains.
+        self.staging.retain(|c| candidate_valid(c, n, cfg));
+
+        let Some(chosen) = best_candidate(&self.staging, n, n_pos, cfg) else {
+            return leaf(ids, n_pos);
+        };
+        // An exact-size copy: the children reuse the staging area.
+        let candidates = self.staging.clone();
+        let &Candidate { attr, threshold, n_left, n_left_pos } = &candidates[chosen];
+        self.partition(ids, attr, threshold);
+        let (left_ids, right_ids) = ids.split_at_mut(n_left as usize);
+        let left = self.build_node(left_ids, n_left_pos, depth + 1, rng);
+        let right = self.build_node(right_ids, n_pos - n_left_pos, depth + 1, rng);
+        Node::Internal(Box::new(Internal {
+            attr,
+            threshold,
+            is_random: false,
+            n,
+            n_pos,
+            candidates,
+            chosen: row_u32(chosen),
+            left,
+            right,
+        }))
+    }
+
+    /// Samples up to `k` cut thresholds for `attr` from the codes present
+    /// among `ids` (every present code except the largest is a valid cut),
+    /// without replacement and skipping cuts `pool` already holds for
+    /// `attr`, and appends them with their statistics to the staging area
+    /// in ascending threshold order.
+    fn sample_candidates(
+        &mut self,
+        ids: &[u32],
+        attr: u16,
+        k: usize,
+        pool: &[Candidate],
+        rng: &mut StdRng,
+    ) {
+        fill_histogram(&mut self.hist, self.data, attr, ids);
+        self.cuts.clear();
+        self.cuts.extend(
+            self.hist.iter().enumerate().filter(|(_, b)| b[0] > 0).map(|(c, _)| code_u16(c)),
+        );
+        self.cuts.pop();
+        self.cuts.retain(|&t| !pool.iter().any(|c| c.attr == attr && c.threshold == t));
+        self.cuts.shuffle(rng);
+        self.cuts.truncate(k);
+        // Deterministic order within the node regardless of shuffle: sort the
+        // chosen cuts so equal RNG states give identical candidate layouts.
+        self.cuts.sort_unstable();
+        accumulate(&mut self.hist);
+        for &threshold in &self.cuts {
+            let [n_left, n_left_pos] = self.hist[threshold as usize];
+            self.staging.push(Candidate { attr, threshold, n_left, n_left_pos });
+        }
+    }
+
+    /// Refills `pool` after unlearning: samples up to `k` fresh cuts for
+    /// `attr` over the node's surviving `ids` that `pool` does not hold
+    /// yet, and appends the valid ones.
+    pub(crate) fn replenish(
+        &mut self,
+        pool: &mut Vec<Candidate>,
+        ids: &[u32],
+        attr: u16,
+        k: usize,
+        rng: &mut StdRng,
+    ) {
+        let n = row_u32(ids.len());
+        self.staging.clear();
+        self.sample_candidates(ids, attr, k, pool, rng);
+        let cfg = self.cfg;
+        pool.extend(self.staging.iter().filter(|c| candidate_valid(c, n, cfg)).cloned());
+    }
+
+    /// Stable in-place partition of `ids` by `code(attr) <= threshold`:
+    /// the left side first, each side in its original order. Returns the
+    /// left side's length.
+    pub(crate) fn partition(&mut self, ids: &mut [u32], attr: u16, threshold: u16) -> usize {
+        let column = self.data.column(attr as usize);
+        self.spill.clear();
+        let mut n_left = 0;
+        for i in 0..ids.len() {
+            let id = ids[i];
+            if column[id as usize] <= threshold {
+                ids[n_left] = id;
+                n_left += 1;
+            } else {
+                self.spill.push(id);
+            }
+        }
+        ids[n_left..].copy_from_slice(&self.spill);
+        n_left
+    }
+
+    /// Calls `apply(candidate, [n, n_pos])` with how many of `ids`, and how
+    /// many positive ones, fall left of each candidate's cut. `ids` is
+    /// histogrammed once per run of same-attribute candidates, not once
+    /// per candidate.
+    pub(crate) fn count_delta(
+        &mut self,
+        candidates: &mut [Candidate],
+        ids: &[u32],
+        apply: impl Fn(&mut Candidate, Bin),
+    ) {
+        let mut rest = candidates;
+        while let Some(first) = rest.first() {
+            let attr = first.attr;
+            let run = rest.iter().position(|c| c.attr != attr).unwrap_or(rest.len());
+            fill_histogram(&mut self.hist, self.data, attr, ids);
+            accumulate(&mut self.hist);
+            let (head, tail) = rest.split_at_mut(run);
+            for c in head {
+                apply(c, self.hist[c.threshold as usize]);
+            }
+            rest = tail;
         }
     }
 }
@@ -314,34 +378,72 @@ mod tests {
         }
     }
 
+    fn build(d: &Dataset, mut ids: Vec<u32>, seed: u64, cfg: &DareConfig) -> Node {
+        let mut rng = StdRng::seed_from_u64(seed);
+        TreeBuilder::new(d, cfg).build(&mut ids, 0, &mut rng)
+    }
+
     #[test]
     fn histogram_counts() {
         let d = xor_data();
         let ids = d.all_row_ids();
-        let h = Histogram::compute(&d, 0, &ids);
-        assert_eq!(h.counts, vec![32, 32]);
-        assert_eq!(h.pos.iter().sum::<u32>(), 32);
-        assert_eq!(h.present(), vec![0, 1]);
-        assert_eq!(h.left_stats(0), (32, 16));
-        assert_eq!(h.left_stats(1), (64, 32));
+        let mut h = Vec::new();
+        fill_histogram(&mut h, &d, 0, &ids);
+        assert_eq!(h, vec![[32, 16], [32, 16]]);
+        fill_histogram(&mut h, &d, 2, &ids[..6]); // codes 0,1,2,0,1,2
+        assert_eq!(h.iter().map(|b| b[0]).collect::<Vec<_>>(), vec![2, 2, 2]);
+        accumulate(&mut h);
+        assert_eq!(h.iter().map(|b| b[0]).collect::<Vec<_>>(), vec![2, 4, 6]);
+        assert_eq!(h[2][1], ids[..6].iter().filter(|&&id| d.label(id as usize)).count() as u32);
     }
 
     #[test]
     fn partition_is_stable_and_complete() {
         let d = xor_data();
-        let ids = d.all_row_ids();
-        let (l, r) = partition(&d, &ids, 0, 0);
-        assert_eq!(l.len() + r.len(), ids.len());
+        let c = cfg();
+        let mut b = TreeBuilder::new(&d, &c);
+        let mut ids = d.all_row_ids();
+        let n_left = b.partition(&mut ids, 0, 0);
+        let (l, r) = ids.split_at(n_left);
+        assert_eq!(l.len() + r.len(), d.num_rows());
         assert!(l.windows(2).all(|w| w[0] < w[1]), "stable order");
+        assert!(r.windows(2).all(|w| w[0] < w[1]), "stable order");
         assert!(l.iter().all(|&id| d.code(id as usize, 0) == 0));
         assert!(r.iter().all(|&id| d.code(id as usize, 0) == 1));
+    }
+
+    /// The in-place partition lays out exactly what the allocating
+    /// `(left, right)` split did, concatenated.
+    #[test]
+    fn in_place_partition_matches_left_then_right() {
+        let d = xor_data();
+        let c = cfg();
+        let mut b = TreeBuilder::new(&d, &c);
+        let mixed: Vec<u32> = vec![7, 2, 9, 4, 4, 63, 0, 31, 12];
+        let all_left: Vec<u32> = vec![6, 0, 2, 4];
+        let all_right: Vec<u32> = vec![5, 1, 3];
+        for (ids, attr, thr) in [
+            (Vec::new(), 0, 0),
+            (all_left, 0, 0),
+            (all_right, 0, 0),
+            (mixed.clone(), 0, 0),
+            (mixed, 2, 1),
+        ] {
+            let col = d.column(attr as usize);
+            let mut expected: Vec<u32> =
+                ids.iter().copied().filter(|&id| col[id as usize] <= thr).collect();
+            let expected_left = expected.len();
+            expected.extend(ids.iter().copied().filter(|&id| col[id as usize] > thr));
+            let mut got = ids.clone();
+            assert_eq!(b.partition(&mut got, attr, thr), expected_left, "{ids:?}");
+            assert_eq!(got, expected, "{ids:?}");
+        }
     }
 
     #[test]
     fn greedy_tree_learns_xor() {
         let d = xor_data();
-        let mut rng = StdRng::seed_from_u64(1);
-        let root = build_node(&d, d.all_row_ids(), 0, &mut rng, &cfg());
+        let root = build(&d, d.all_row_ids(), 1, &cfg());
         for row in 0..d.num_rows() {
             let p = root.predict_row(&d, row);
             assert_eq!(p > 0.5, d.label(row), "row {row} proba {p}");
@@ -351,8 +453,7 @@ mod tests {
     #[test]
     fn node_statistics_are_consistent() {
         let d = xor_data();
-        let mut rng = StdRng::seed_from_u64(2);
-        let root = build_node(&d, d.all_row_ids(), 0, &mut rng, &cfg());
+        let root = build(&d, d.all_row_ids(), 2, &cfg());
         fn check(node: &Node) {
             if let Node::Internal(i) = node {
                 assert_eq!(i.n, i.left.n() + i.right.n());
@@ -361,6 +462,7 @@ mod tests {
                 assert_eq!((c.attr, c.threshold), (i.attr, i.threshold));
                 assert_eq!(c.n_left, i.left.n());
                 assert_eq!(c.n_left_pos, i.left.n_pos());
+                assert_eq!(i.candidates.capacity(), i.candidates.len(), "exact-size pool");
                 check(&i.left);
                 check(&i.right);
             }
@@ -371,10 +473,9 @@ mod tests {
     #[test]
     fn random_layers_are_marked() {
         let d = xor_data();
-        let mut rng = StdRng::seed_from_u64(3);
         let mut c = cfg();
         c.random_depth = 2;
-        let root = build_node(&d, d.all_row_ids(), 0, &mut rng, &c);
+        let root = build(&d, d.all_row_ids(), 3, &c);
         if let Node::Internal(i) = &root {
             assert!(i.is_random);
             assert!(i.candidates.is_empty());
@@ -391,11 +492,10 @@ mod tests {
         let pure_ids: Vec<u32> = (0..d.num_rows() as u32)
             .filter(|&r| d.label(r as usize))
             .collect();
-        let mut rng = StdRng::seed_from_u64(4);
-        let root = build_node(&d, pure_ids.clone(), 0, &mut rng, &cfg());
+        let root = build(&d, pure_ids.clone(), 4, &cfg());
         match root {
             Node::Leaf(l) => {
-                assert_eq!(l.ids.len(), pure_ids.len());
+                assert_eq!(l.ids, pure_ids);
                 assert_eq!(l.proba(), 1.0);
             }
             _ => panic!("pure node must be a leaf"),
@@ -407,23 +507,70 @@ mod tests {
         let d = xor_data();
         let mut c = cfg();
         c.max_depth = 0;
-        let mut rng = StdRng::seed_from_u64(5);
-        let root = build_node(&d, d.all_row_ids(), 0, &mut rng, &c);
+        let root = build(&d, d.all_row_ids(), 5, &c);
         assert!(matches!(root, Node::Leaf(_)));
     }
 
     #[test]
     fn sample_candidates_excludes_and_caps() {
         let d = xor_data();
-        let h = Histogram::compute(&d, 2, &d.all_row_ids()); // codes 0,1,2
+        let c = cfg();
+        let mut b = TreeBuilder::new(&d, &c);
+        let ids = d.all_row_ids(); // attribute 2 has codes 0,1,2
         let mut rng = StdRng::seed_from_u64(6);
-        let all = sample_candidates(&h, 2, 10, &[], &mut rng);
-        assert_eq!(all.len(), 2); // cuts at 0 and 1
-        let excl = sample_candidates(&h, 2, 10, &[0], &mut rng);
-        assert_eq!(excl.len(), 1);
-        assert_eq!(excl[0].threshold, 1);
-        let capped = sample_candidates(&h, 2, 1, &[], &mut rng);
+        let mut all = Vec::new();
+        b.replenish(&mut all, &ids, 2, 10, &mut rng);
+        let thresholds = |p: &[Candidate]| p.iter().map(|c| c.threshold).collect::<Vec<_>>();
+        assert_eq!(thresholds(&all), vec![0, 1]); // cuts at 0 and 1
+        assert_eq!((all[0].n_left, all[1].n_left), (22, 43));
+        let mut excl = vec![Candidate { attr: 2, threshold: 0, n_left: 22, n_left_pos: 11 }];
+        b.replenish(&mut excl, &ids, 2, 10, &mut rng);
+        assert_eq!(thresholds(&excl), vec![0, 1], "cut 0 is held, only cut 1 is fresh");
+        // A cut held for another attribute does not exclude this one's.
+        let mut other = vec![Candidate { attr: 1, threshold: 0, n_left: 32, n_left_pos: 16 }];
+        b.replenish(&mut other, &ids, 2, 10, &mut rng);
+        assert_eq!(other.len(), 3);
+        let mut capped = Vec::new();
+        b.replenish(&mut capped, &ids, 2, 1, &mut rng);
         assert_eq!(capped.len(), 1);
+    }
+
+    /// The per-run count delta equals a brute-force recount even when a
+    /// replenished pool has appended fresh cuts behind other attributes,
+    /// so one attribute's candidates form several runs.
+    #[test]
+    fn count_delta_matches_brute_force_on_non_contiguous_pool() {
+        let d = xor_data();
+        let c = cfg();
+        let mut b = TreeBuilder::new(&d, &c);
+        let ids = d.all_row_ids();
+        let mut rng = StdRng::seed_from_u64(8);
+        let mut pool = vec![
+            Candidate { attr: 2, threshold: 0, n_left: 0, n_left_pos: 0 },
+            Candidate { attr: 0, threshold: 0, n_left: 0, n_left_pos: 0 },
+        ];
+        b.replenish(&mut pool, &ids, 2, 10, &mut rng);
+        let attrs: Vec<u16> = pool.iter().map(|c| c.attr).collect();
+        assert_eq!(attrs, vec![2, 0, 2], "attribute 2 must form two runs");
+
+        let del: Vec<u32> = vec![1, 2, 3, 10, 17, 40, 41, 63];
+        for c in &mut pool {
+            *c = Candidate { n_left: 1000, n_left_pos: 1000, ..c.clone() };
+        }
+        b.count_delta(&mut pool, &del, |c, [n, p]| {
+            c.n_left -= n;
+            c.n_left_pos -= p;
+        });
+        for c in &pool {
+            let left: Vec<u32> = del
+                .iter()
+                .copied()
+                .filter(|&id| d.code(id as usize, c.attr as usize) <= c.threshold)
+                .collect();
+            let pos = left.iter().filter(|&&id| d.label(id as usize)).count() as u32;
+            assert_eq!(c.n_left, 1000 - left.len() as u32, "{c:?}");
+            assert_eq!(c.n_left_pos, 1000 - pos, "{c:?}");
+        }
     }
 
     #[test]
@@ -431,8 +578,7 @@ mod tests {
         let d = xor_data();
         let mut c = cfg();
         c.min_samples_leaf = 8;
-        let mut rng = StdRng::seed_from_u64(7);
-        let root = build_node(&d, d.all_row_ids(), 0, &mut rng, &c);
+        let root = build(&d, d.all_row_ids(), 7, &c);
         fn check(node: &Node, msl: u32) {
             if let Node::Internal(i) = node {
                 assert!(i.left.n() >= msl && i.right.n() >= msl);

@@ -11,13 +11,10 @@ use fume_tabular::cast::row_u32;
 use fume_tabular::rng::StdRng;
 use fume_tabular::Dataset;
 
-use crate::builder::{
-    best_candidate, build_node, candidate_valid, partition, sample_candidates, Histogram,
-    GAIN_EPS,
-};
+use crate::builder::{best_candidate, candidate_valid, TreeBuilder, GAIN_EPS};
 use crate::config::DareConfig;
 use crate::gini::gini_gain;
-use crate::journal::{JournalSink, NodePath};
+use crate::journal::{JournalSink, NodePath, UndoRecord};
 use crate::node::{Internal, Node};
 
 /// Counters describing what one deletion did to a tree (aggregated over the
@@ -45,82 +42,100 @@ impl DeleteReport {
     }
 }
 
-/// Removes the sorted id set `del` (all of which must be present) from the
-/// sorted-or-unsorted id list `ids`, in place.
-fn subtract_sorted(ids: &mut Vec<u32>, del: &[u32]) {
-    ids.retain(|id| del.binary_search(id).is_err());
+/// Membership bitset over a dataset's rows.
+struct RowSet {
+    words: Vec<u64>,
 }
 
-/// Collects the subtree's ids and removes `del` (sorted) from them.
-fn surviving_ids(node: &Node, del: &[u32]) -> Vec<u32> {
-    let mut ids = Vec::with_capacity(node.n() as usize);
-    node.collect_ids(&mut ids);
-    subtract_sorted(&mut ids, del);
-    ids
+impl RowSet {
+    /// The set of `ids`, each below `n_rows`.
+    fn new(n_rows: usize, ids: &[u32]) -> Self {
+        let mut words = vec![0u64; n_rows.div_ceil(64)];
+        for &id in ids {
+            words[id as usize / 64] |= 1 << (id % 64);
+        }
+        Self { words }
+    }
+
+    /// Whether `id` is in the set.
+    #[inline]
+    fn contains(&self, id: u32) -> bool {
+        self.words[id as usize / 64] >> (id % 64) & 1 == 1
+    }
 }
 
-/// Deletes `del` (sorted, deduplicated, all present under `node`) from the
-/// subtree rooted at `node` which sits at `depth`, without journaling.
-pub(crate) fn delete_from_node(
-    node: &mut Node,
+/// Appends the ids under `node` that `deleted` does not hold, in tree
+/// order.
+fn collect_survivors(node: &Node, deleted: &RowSet, out: &mut Vec<u32>) {
+    match node {
+        Node::Leaf(leaf) => out.extend(leaf.ids.iter().filter(|&&id| !deleted.contains(id))),
+        Node::Internal(i) => {
+            collect_survivors(&i.left, deleted, out);
+            collect_survivors(&i.right, deleted, out);
+        }
+    }
+}
+
+/// Deletes `del` (sorted, deduplicated, all present in the tree) from the
+/// tree rooted at `root`. Returns what the deletion did and, when
+/// `journal` is on, the undo records that reverse it.
+pub(crate) fn delete_from_tree(
+    root: &mut Node,
     del: &[u32],
     data: &Dataset,
-    depth: usize,
     rng: &mut StdRng,
     cfg: &DareConfig,
-    report: &mut DeleteReport,
-) {
-    let mut pass = DeletePass::new(data, cfg, rng, report, JournalSink::Off);
-    pass.delete(node, del, depth, NodePath::ROOT);
+    journal: JournalSink,
+) -> (DeleteReport, Vec<UndoRecord>) {
+    let mut pass = DeletePass {
+        builder: TreeBuilder::new(data, cfg),
+        cfg,
+        rng,
+        report: DeleteReport::default(),
+        journal,
+        deleted: RowSet::new(data.num_rows(), del),
+        survivors: Vec::new(),
+        lost: Vec::new(),
+    };
+    pass.delete(root, &mut del.to_vec(), 0, NodePath::ROOT);
+    (pass.report, pass.journal.into_records())
 }
 
 /// One top-down deletion pass over a tree: the shared traversal behind
 /// both the destructive delete and the journaled delete+rollback path.
-pub(crate) struct DeletePass<'a> {
-    data: &'a Dataset,
+struct DeletePass<'a> {
+    /// Rebuilds subtrees and samples replenished candidates; its scratch
+    /// also partitions `del` and histograms it per candidate run.
+    builder: TreeBuilder<'a>,
     cfg: &'a DareConfig,
     rng: &'a mut StdRng,
-    report: &'a mut DeleteReport,
+    report: DeleteReport,
     journal: JournalSink,
+    /// Every row this pass deletes.
+    deleted: RowSet,
+    /// Surviving ids of the subtree being rebuilt or replenished.
+    survivors: Vec<u32>,
+    /// `(attribute, candidates lost)` of the node being replenished.
+    lost: Vec<(u16, usize)>,
 }
 
-impl<'a> DeletePass<'a> {
-    /// Builds a pass; `journal` decides whether mutations are recorded.
-    pub(crate) fn new(
-        data: &'a Dataset,
-        cfg: &'a DareConfig,
-        rng: &'a mut StdRng,
-        report: &'a mut DeleteReport,
-        journal: JournalSink,
-    ) -> Self {
-        Self { data, cfg, rng, report, journal }
-    }
-
-    /// Consumes the pass, yielding the journal's undo records.
-    pub(crate) fn into_records(self) -> Vec<crate::journal::UndoRecord> {
-        self.journal.into_records()
-    }
-
-    /// Deletes `del` (sorted, deduplicated, all present under `node`)
-    /// from the subtree rooted at `node` which sits at `depth`/`path`.
-    pub(crate) fn delete(
-        &mut self,
-        node: &mut Node,
-        del: &[u32],
-        depth: usize,
-        path: NodePath,
-    ) {
+impl DeletePass<'_> {
+    /// Deletes `del` (deduplicated, all present under `node`) from the
+    /// subtree rooted at `node` which sits at `depth`/`path`. Reorders
+    /// `del` (stable partitions).
+    fn delete(&mut self, node: &mut Node, del: &mut [u32], depth: usize, path: NodePath) {
         if del.is_empty() {
             return;
         }
-        let (data, cfg) = (self.data, self.cfg);
-        let labels = data.labels();
+        let cfg = self.cfg;
+        let labels = self.builder.data().labels();
         let del_pos = row_u32(del.iter().filter(|&&id| labels[id as usize]).count());
 
         match node {
             Node::Leaf(leaf) => {
                 self.journal.record_leaf(path, leaf);
-                subtract_sorted(&mut leaf.ids, del);
+                let deleted = &self.deleted;
+                leaf.ids.retain(|&id| !deleted.contains(id));
                 leaf.n_pos -= del_pos;
                 self.report.leaves_updated += 1;
             }
@@ -130,10 +145,7 @@ impl<'a> DeletePass<'a> {
 
                 // The builder would now make this node a leaf: rebuild.
                 if new_n < cfg.min_samples_split || new_n_pos == 0 || new_n_pos == new_n {
-                    let ids = surviving_ids(node, del);
-                    let rebuilt = build_node(data, ids, depth, self.rng, cfg);
-                    self.journal.replace_subtree(path, node, rebuilt);
-                    self.report.subtrees_retrained += 1;
+                    self.rebuild(node, depth, path);
                     return;
                 }
 
@@ -142,42 +154,52 @@ impl<'a> DeletePass<'a> {
                 internal.n_pos = new_n_pos;
                 self.report.nodes_updated += 1;
 
-                let (del_left, del_right) =
-                    partition(data, del, internal.attr, internal.threshold);
+                let n_left = self.builder.partition(del, internal.attr, internal.threshold);
 
                 let retrain = if internal.is_random {
-                    random_split_invalid(internal, &del_left, &del_right, cfg)
+                    random_split_invalid(internal, n_left, del.len() - n_left, cfg)
                 } else {
-                    update_candidates(internal, del, data);
+                    self.builder.count_delta(&mut internal.candidates, del, |c, [n, p]| {
+                        c.n_left -= n;
+                        c.n_left_pos -= p;
+                    });
                     // The chosen split must stay valid and improving; if so,
                     // resample any invalidated candidate thresholds *before*
                     // re-checking optimality (a fresh candidate may win).
                     chosen_split_dead(internal, cfg) || {
-                        self.replenish_candidates(internal, del, path);
+                        self.replenish_candidates(internal, path);
                         greedy_split_beaten(internal, cfg)
                     }
                 };
 
                 if retrain {
-                    let ids = surviving_ids(node, del);
-                    let rebuilt = build_node(data, ids, depth, self.rng, cfg);
-                    self.journal.replace_subtree(path, node, rebuilt);
-                    self.report.subtrees_retrained += 1;
+                    self.rebuild(node, depth, path);
                     return;
                 }
 
-                self.delete(&mut internal.left, &del_left, depth + 1, path.child(false));
-                self.delete(&mut internal.right, &del_right, depth + 1, path.child(true));
+                let (del_left, del_right) = del.split_at_mut(n_left);
+                self.delete(&mut internal.left, del_left, depth + 1, path.child(false));
+                self.delete(&mut internal.right, del_right, depth + 1, path.child(true));
             }
         }
+    }
+
+    /// Replaces the subtree at `node` with one built from its surviving
+    /// instances, in their order within the old subtree.
+    fn rebuild(&mut self, node: &mut Node, depth: usize, path: NodePath) {
+        self.survivors.clear();
+        collect_survivors(node, &self.deleted, &mut self.survivors);
+        let rebuilt = self.builder.build(&mut self.survivors, depth, self.rng);
+        self.journal.replace_subtree(path, node, rebuilt);
+        self.report.subtrees_retrained += 1;
     }
 
     /// Replaces cached candidates that stopped separating the node's data
     /// with freshly sampled thresholds from the surviving instances,
     /// keeping the candidate pool full for future deletions (the
     /// `O(|D| log |D|)` threshold-resampling step of the DaRE paper).
-    fn replenish_candidates(&mut self, internal: &mut Internal, del: &[u32], path: NodePath) {
-        let (data, cfg) = (self.data, self.cfg);
+    fn replenish_candidates(&mut self, internal: &mut Internal, path: NodePath) {
+        let cfg = self.cfg;
         let n = internal.n;
         let any_invalid = internal
             .candidates
@@ -197,38 +219,24 @@ impl<'a> DeletePass<'a> {
         };
 
         // Count how many candidates each attribute lost.
-        let mut lost: Vec<(u16, usize)> = Vec::new();
+        self.lost.clear();
         for c in &internal.candidates {
             if !candidate_valid(c, n, cfg) {
-                match lost.iter_mut().find(|(a, _)| *a == c.attr) {
+                match self.lost.iter_mut().find(|(a, _)| *a == c.attr) {
                     Some((_, k)) => *k += 1,
-                    None => lost.push((c.attr, 1)),
+                    None => self.lost.push((c.attr, 1)),
                 }
             }
         }
         internal.candidates.retain(|c| candidate_valid(c, n, cfg));
 
         // The surviving instances of this node, needed for fresh histograms.
-        let ids = {
-            let mut ids = Vec::with_capacity(internal.n as usize + del.len());
-            internal.left.collect_ids(&mut ids);
-            internal.right.collect_ids(&mut ids);
-            ids.retain(|id| del.binary_search(id).is_err());
-            ids
-        };
+        self.survivors.clear();
+        collect_survivors(&internal.left, &self.deleted, &mut self.survivors);
+        collect_survivors(&internal.right, &self.deleted, &mut self.survivors);
 
-        for (attr, k) in lost {
-            let existing: Vec<u16> = internal
-                .candidates
-                .iter()
-                .filter(|c| c.attr == attr)
-                .map(|c| c.threshold)
-                .collect();
-            let hist = Histogram::compute(data, attr as usize, &ids);
-            let fresh = sample_candidates(&hist, attr, k, &existing, self.rng);
-            internal
-                .candidates
-                .extend(fresh.into_iter().filter(|c| candidate_valid(c, n, cfg)));
+        for &(attr, k) in &self.lost {
+            self.builder.replenish(&mut internal.candidates, &self.survivors, attr, k, self.rng);
         }
 
         // Re-locate the chosen candidate after the reshuffle.
@@ -247,28 +255,13 @@ impl<'a> DeletePass<'a> {
 /// leaf-size minimum the builder honored.
 fn random_split_invalid(
     internal: &Internal,
-    del_left: &[u32],
-    del_right: &[u32],
+    del_left: usize,
+    del_right: usize,
     cfg: &DareConfig,
 ) -> bool {
-    let left_n = internal.left.n() - row_u32(del_left.len());
-    let right_n = internal.right.n() - row_u32(del_right.len());
+    let left_n = internal.left.n() - row_u32(del_left);
+    let right_n = internal.right.n() - row_u32(del_right);
     left_n < cfg.min_samples_leaf.max(1) || right_n < cfg.min_samples_leaf.max(1)
-}
-
-/// Incrementally updates every cached candidate's statistics for the
-/// deletion of `del`.
-fn update_candidates(internal: &mut Internal, del: &[u32], data: &Dataset) {
-    let labels = data.labels();
-    for cand in &mut internal.candidates {
-        let column = data.column(cand.attr as usize);
-        for &id in del {
-            if column[id as usize] <= cand.threshold {
-                cand.n_left -= 1;
-                cand.n_left_pos -= u32::from(labels[id as usize]);
-            }
-        }
-    }
 }
 
 /// Whether the chosen split stopped being a split the builder could have
@@ -336,6 +329,23 @@ mod tests {
         }
     }
 
+    fn build(d: &Dataset, rng: &mut StdRng, cfg: &DareConfig) -> Node {
+        TreeBuilder::new(d, cfg).build(&mut d.all_row_ids(), 0, rng)
+    }
+
+    fn delete(
+        root: &mut Node,
+        del: &[u32],
+        d: &Dataset,
+        rng: &mut StdRng,
+        cfg: &DareConfig,
+        report: &mut DeleteReport,
+    ) {
+        let (r, records) = delete_from_tree(root, del, d, rng, cfg, JournalSink::Off);
+        assert!(records.is_empty(), "an unjournaled pass records nothing");
+        report.merge(&r);
+    }
+
     fn validate(node: &Node, data: &Dataset, cfg: &DareConfig) {
         if let Node::Internal(i) = node {
             assert_eq!(i.n, i.left.n() + i.right.n(), "n consistency");
@@ -365,11 +375,11 @@ mod tests {
         let d = data();
         let cfg = cfg();
         let mut rng = StdRng::seed_from_u64(10);
-        let mut root = build_node(&d, d.all_row_ids(), 0, &mut rng, &cfg);
+        let mut root = build(&d, &mut rng, &cfg);
         let mut report = DeleteReport::default();
         // Delete a batch spread across the space.
         let del: Vec<u32> = vec![0, 7, 14, 21, 28, 35, 42];
-        delete_from_node(&mut root, &del, &d, 0, &mut rng, &cfg, &mut report);
+        delete(&mut root, &del, &d, &mut rng, &cfg, &mut report);
         assert_eq!(root.n() as usize, d.num_rows() - del.len());
         validate(&root, &d, &cfg);
         let mut ids = Vec::new();
@@ -384,9 +394,9 @@ mod tests {
         let d = data();
         let cfg = cfg();
         let mut rng = StdRng::seed_from_u64(11);
-        let mut root = build_node(&d, d.all_row_ids(), 0, &mut rng, &cfg);
+        let mut root = build(&d, &mut rng, &cfg);
         let mut report = DeleteReport::default();
-        delete_from_node(&mut root, &d.all_row_ids(), &d, 0, &mut rng, &cfg, &mut report);
+        delete(&mut root, &d.all_row_ids(), &d, &mut rng, &cfg, &mut report);
         assert_eq!(root.n(), 0);
         assert!(matches!(root, Node::Leaf(_)));
         assert!(report.subtrees_retrained >= 1);
@@ -397,12 +407,12 @@ mod tests {
         let d = data();
         let cfg = cfg();
         let mut rng = StdRng::seed_from_u64(12);
-        let mut root = build_node(&d, d.all_row_ids(), 0, &mut rng, &cfg);
+        let mut root = build(&d, &mut rng, &cfg);
         let positives: Vec<u32> = (0..d.num_rows() as u32)
             .filter(|&r| d.label(r as usize))
             .collect();
         let mut report = DeleteReport::default();
-        delete_from_node(&mut root, &positives, &d, 0, &mut rng, &cfg, &mut report);
+        delete(&mut root, &positives, &d, &mut rng, &cfg, &mut report);
         assert!(matches!(root, Node::Leaf(_)), "pure data must collapse to a leaf");
         assert_eq!(root.n_pos(), 0);
         validate(&root, &d, &cfg);
@@ -413,12 +423,12 @@ mod tests {
         let d = data();
         let cfg = cfg();
         let mut rng = StdRng::seed_from_u64(13);
-        let mut root = build_node(&d, d.all_row_ids(), 0, &mut rng, &cfg);
+        let mut root = build(&d, &mut rng, &cfg);
         let mut remaining: Vec<u32> = d.all_row_ids();
         let mut report = DeleteReport::default();
         for step in 0..30 {
             let victim = remaining.remove((step * 7) % remaining.len());
-            delete_from_node(&mut root, &[victim], &d, 0, &mut rng, &cfg, &mut report);
+            delete(&mut root, &[victim], &d, &mut rng, &cfg, &mut report);
             assert_eq!(root.n() as usize, remaining.len(), "step {step}");
             validate(&root, &d, &cfg);
         }
@@ -430,7 +440,7 @@ mod tests {
         let mut cfg = cfg();
         cfg.random_depth = 1;
         let mut rng = StdRng::seed_from_u64(14);
-        let mut root = build_node(&d, d.all_row_ids(), 0, &mut rng, &cfg);
+        let mut root = build(&d, &mut rng, &cfg);
         let (attr, thr) = match &root {
             Node::Internal(i) => {
                 assert!(i.is_random);
@@ -443,16 +453,30 @@ mod tests {
             .filter(|&r| d.code(r as usize, attr as usize) <= thr)
             .collect();
         let mut report = DeleteReport::default();
-        delete_from_node(&mut root, &left_ids, &d, 0, &mut rng, &cfg, &mut report);
+        delete(&mut root, &left_ids, &d, &mut rng, &cfg, &mut report);
         assert!(report.subtrees_retrained >= 1);
         validate(&root, &d, &cfg);
         assert_eq!(root.n() as usize, d.num_rows() - left_ids.len());
     }
 
     #[test]
-    fn subtract_sorted_removes_only_targets() {
+    fn row_set_subtraction_removes_only_targets() {
+        let deleted = RowSet::new(10, &[3, 9]);
         let mut ids = vec![5, 1, 9, 3, 7];
-        subtract_sorted(&mut ids, &[3, 9]);
+        ids.retain(|&id| !deleted.contains(id));
         assert_eq!(ids, vec![5, 1, 7]);
+    }
+
+    #[test]
+    fn row_set_membership_at_word_edges() {
+        let n_rows = 130;
+        let last = n_rows as u32 - 1;
+        let set = RowSet::new(n_rows, &[0, 63, 64, last]);
+        for id in 0..n_rows as u32 {
+            assert_eq!(set.contains(id), [0, 63, 64, last].contains(&id), "id {id}");
+        }
+        let full: Vec<u32> = (0..128).collect();
+        let set = RowSet::new(128, &full);
+        assert!(set.contains(0) && set.contains(63) && set.contains(64) && set.contains(127));
     }
 }

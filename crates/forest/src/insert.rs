@@ -21,7 +21,7 @@ use fume_tabular::cast::row_u32;
 use fume_tabular::rng::StdRng;
 use fume_tabular::Dataset;
 
-use crate::builder::{build_node, partition};
+use crate::builder::TreeBuilder;
 use crate::config::DareConfig;
 use crate::node::{Internal, Node};
 
@@ -50,71 +50,90 @@ fn leaf_should_split(n: u32, n_pos: u32, depth: usize, cfg: &DareConfig) -> bool
     n >= cfg.min_samples_split && n_pos > 0 && n_pos < n && depth < cfg.max_depth
 }
 
-/// Inserts the sorted id set `ins` into the subtree rooted at `node`.
-pub(crate) fn insert_into_node(
-    node: &mut Node,
+/// Inserts the sorted id set `ins` into the tree rooted at `root`.
+pub(crate) fn insert_into_tree(
+    root: &mut Node,
     ins: &[u32],
     data: &Dataset,
-    depth: usize,
     rng: &mut StdRng,
     cfg: &DareConfig,
-    report: &mut InsertReport,
-) {
-    if ins.is_empty() {
-        return;
-    }
-    let labels = data.labels();
-    let ins_pos = row_u32(ins.iter().filter(|&&id| labels[id as usize]).count());
-
-    match node {
-        Node::Leaf(leaf) => {
-            leaf.ids.extend_from_slice(ins);
-            leaf.n_pos += ins_pos;
-            let (n, n_pos) = (row_u32(leaf.ids.len()), leaf.n_pos);
-            if leaf_should_split(n, n_pos, depth, cfg) {
-                let ids = std::mem::take(&mut leaf.ids);
-                *node = build_node(data, ids, depth, rng, cfg);
-                report.subtrees_rebuilt += usize::from(matches!(node, Node::Internal(_)));
-                report.leaves_updated += usize::from(matches!(node, Node::Leaf(_)));
-            } else {
-                report.leaves_updated += 1;
-            }
-        }
-        Node::Internal(internal) => {
-            internal.n += row_u32(ins.len());
-            internal.n_pos += ins_pos;
-            report.nodes_updated += 1;
-
-            let (ins_left, ins_right) =
-                partition(data, ins, internal.attr, internal.threshold);
-
-            if !internal.is_random {
-                update_candidates_add(internal, ins, data);
-                if greedy_split_beaten_after_insert(internal, cfg) {
-                    let mut ids = Vec::with_capacity(internal.n as usize);
-                    internal.left.collect_ids(&mut ids);
-                    internal.right.collect_ids(&mut ids);
-                    ids.extend_from_slice(ins);
-                    *node = build_node(data, ids, depth, rng, cfg);
-                    report.subtrees_rebuilt += 1;
-                    return;
-                }
-            }
-
-            insert_into_node(&mut internal.left, &ins_left, data, depth + 1, rng, cfg, report);
-            insert_into_node(&mut internal.right, &ins_right, data, depth + 1, rng, cfg, report);
-        }
-    }
+) -> InsertReport {
+    let mut pass = InsertPass {
+        builder: TreeBuilder::new(data, cfg),
+        cfg,
+        rng,
+        report: InsertReport::default(),
+        ids: Vec::new(),
+    };
+    pass.insert(root, &mut ins.to_vec(), 0);
+    pass.report
 }
 
-fn update_candidates_add(internal: &mut Internal, ins: &[u32], data: &Dataset) {
-    let labels = data.labels();
-    for cand in &mut internal.candidates {
-        let column = data.column(cand.attr as usize);
-        for &id in ins {
-            if column[id as usize] <= cand.threshold {
-                cand.n_left += 1;
-                cand.n_left_pos += u32::from(labels[id as usize]);
+/// One top-down insertion pass over a tree.
+struct InsertPass<'a> {
+    /// Rebuilds subtrees; its scratch also partitions `ins` and
+    /// histograms it per candidate run.
+    builder: TreeBuilder<'a>,
+    cfg: &'a DareConfig,
+    rng: &'a mut StdRng,
+    report: InsertReport,
+    /// Ids of the subtree being rebuilt.
+    ids: Vec<u32>,
+}
+
+impl InsertPass<'_> {
+    /// Inserts `ins` into the subtree rooted at `node`, which sits at
+    /// `depth`. Reorders `ins` (stable partitions).
+    fn insert(&mut self, node: &mut Node, ins: &mut [u32], depth: usize) {
+        if ins.is_empty() {
+            return;
+        }
+        let cfg = self.cfg;
+        let labels = self.builder.data().labels();
+        let ins_pos = row_u32(ins.iter().filter(|&&id| labels[id as usize]).count());
+
+        match node {
+            Node::Leaf(leaf) => {
+                leaf.ids.extend_from_slice(ins);
+                leaf.n_pos += ins_pos;
+                let (n, n_pos) = (row_u32(leaf.ids.len()), leaf.n_pos);
+                if leaf_should_split(n, n_pos, depth, cfg) {
+                    let mut ids = std::mem::take(&mut leaf.ids);
+                    *node = self.builder.build(&mut ids, depth, self.rng);
+                    let grew = matches!(node, Node::Internal(_));
+                    self.report.subtrees_rebuilt += usize::from(grew);
+                    self.report.leaves_updated += usize::from(!grew);
+                } else {
+                    self.report.leaves_updated += 1;
+                }
+            }
+            Node::Internal(internal) => {
+                internal.n += row_u32(ins.len());
+                internal.n_pos += ins_pos;
+                self.report.nodes_updated += 1;
+
+                if !internal.is_random {
+                    self.builder.count_delta(&mut internal.candidates, ins, |c, [n, p]| {
+                        c.n_left += n;
+                        c.n_left_pos += p;
+                    });
+                    if greedy_split_beaten_after_insert(internal, cfg) {
+                        // Rebuild from the subtree's ids followed by `ins`,
+                        // which this node has not partitioned yet.
+                        self.ids.clear();
+                        internal.left.collect_ids(&mut self.ids);
+                        internal.right.collect_ids(&mut self.ids);
+                        self.ids.extend_from_slice(ins);
+                        *node = self.builder.build(&mut self.ids, depth, self.rng);
+                        self.report.subtrees_rebuilt += 1;
+                        return;
+                    }
+                }
+
+                let n_left = self.builder.partition(ins, internal.attr, internal.threshold);
+                let (ins_left, ins_right) = ins.split_at_mut(n_left);
+                self.insert(&mut internal.left, ins_left, depth + 1);
+                self.insert(&mut internal.right, ins_right, depth + 1);
             }
         }
     }
@@ -215,9 +234,8 @@ mod tests {
         let (data, _) = planted_toy().generate_scaled(0.1, 74).unwrap();
         let mut node = empty_leaf();
         let mut rng = fume_tabular::rng::SeedableRng::seed_from_u64(74);
-        let mut report = InsertReport::default();
         let ids: Vec<u32> = (0..40).collect();
-        insert_into_node(&mut node, &ids, &data, 0, &mut rng, &cfg(), &mut report);
+        insert_into_tree(&mut node, &ids, &data, &mut rng, &cfg());
         assert_eq!(node.n(), 40);
     }
 }

@@ -4,10 +4,10 @@
 use fume_tabular::Dataset;
 use fume_tabular::rng::{SeedableRng, StdRng};
 
-use crate::builder::build_node;
+use crate::builder::TreeBuilder;
 use crate::config::DareConfig;
-use crate::delete::{delete_from_node, DeletePass, DeleteReport};
-use crate::insert::{insert_into_node, InsertReport};
+use crate::delete::{delete_from_tree, DeleteReport};
+use crate::insert::{insert_into_tree, InsertReport};
 use crate::journal::{rollback_records, JournalSink, NodePath, TreeUndo};
 use crate::node::Node;
 
@@ -24,10 +24,10 @@ pub struct DareTree {
 
 impl DareTree {
     /// Trains a tree on the instances `ids` of `data`.
-    pub fn fit(data: &Dataset, ids: Vec<u32>, cfg: &DareConfig, seed: u64) -> Self {
+    pub fn fit(data: &Dataset, mut ids: Vec<u32>, cfg: &DareConfig, seed: u64) -> Self {
         // fume-lint: allow(F003) -- seed provenance: derived by DareForest::fit_on from config.seed and the tree index, so the stream is reproducible per (config, tree)
         let mut rng = StdRng::seed_from_u64(seed);
-        let root = build_node(data, ids, 0, &mut rng, cfg);
+        let root = TreeBuilder::new(data, cfg).build(&mut ids, 0, &mut rng);
         Self { root, rng }
     }
 
@@ -71,9 +71,7 @@ impl DareTree {
     /// statistics prove it necessary.
     pub fn delete(&mut self, del: &[u32], data: &Dataset, cfg: &DareConfig) -> DeleteReport {
         debug_assert!(del.windows(2).all(|w| w[0] < w[1]), "ids must be sorted unique");
-        let mut report = DeleteReport::default();
-        delete_from_node(&mut self.root, del, data, 0, &mut self.rng, cfg, &mut report);
-        report
+        delete_from_tree(&mut self.root, del, data, &mut self.rng, cfg, JournalSink::Off).0
     }
 
     /// [`Self::delete`] with an undo journal: performs the same deletion
@@ -88,11 +86,9 @@ impl DareTree {
     ) -> (DeleteReport, TreeUndo) {
         debug_assert!(del.windows(2).all(|w| w[0] < w[1]), "ids must be sorted unique");
         let rng_before = self.rng.clone();
-        let mut report = DeleteReport::default();
-        let mut pass =
-            DeletePass::new(data, cfg, &mut self.rng, &mut report, JournalSink::On(Vec::new()));
-        pass.delete(&mut self.root, del, 0, NodePath::ROOT);
-        let records = pass.into_records();
+        let journal = JournalSink::On(Vec::new());
+        let (report, records) =
+            delete_from_tree(&mut self.root, del, data, &mut self.rng, cfg, journal);
         (report, TreeUndo { records, rng: rng_before })
     }
 
@@ -116,9 +112,7 @@ impl DareTree {
     /// candidate overtakes the chosen split.
     pub fn insert(&mut self, ins: &[u32], data: &Dataset, cfg: &DareConfig) -> InsertReport {
         debug_assert!(ins.windows(2).all(|w| w[0] < w[1]), "ids must be sorted unique");
-        let mut report = InsertReport::default();
-        insert_into_node(&mut self.root, ins, data, 0, &mut self.rng, cfg, &mut report);
-        report
+        insert_into_tree(&mut self.root, ins, data, &mut self.rng, cfg)
     }
 
     /// The root node, for read-only structural walks (path mining,

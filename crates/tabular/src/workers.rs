@@ -43,14 +43,16 @@ pub fn parallel_map<T: Sync, R: Send>(
     let chunk = items.len().div_ceil(jobs);
     let mut out: Vec<Option<R>> = (0..items.len()).map(|_| None).collect();
     std::thread::scope(|scope| {
+        let mut workers = Vec::with_capacity(jobs);
         for (slot_chunk, item_chunk) in out.chunks_mut(chunk).zip(items.chunks(chunk)) {
             let f = &f;
-            scope.spawn(move || {
+            workers.push(scope.spawn(move || {
                 for (slot, item) in slot_chunk.iter_mut().zip(item_chunk) {
                     *slot = Some(f(item));
                 }
-            });
+            }));
         }
+        join_all(workers);
     });
     collect_slots(out)
 }
@@ -68,14 +70,16 @@ pub fn parallel_map_mut<T: Send, R: Send>(
     let chunk = items.len().div_ceil(jobs);
     let mut out: Vec<Option<R>> = (0..items.len()).map(|_| None).collect();
     std::thread::scope(|scope| {
+        let mut workers = Vec::with_capacity(jobs);
         for (slot_chunk, item_chunk) in out.chunks_mut(chunk).zip(items.chunks_mut(chunk)) {
             let f = &f;
-            scope.spawn(move || {
+            workers.push(scope.spawn(move || {
                 for (slot, item) in slot_chunk.iter_mut().zip(item_chunk) {
                     *slot = Some(f(item));
                 }
-            });
+            }));
         }
+        join_all(workers);
     });
     collect_slots(out)
 }
@@ -97,11 +101,12 @@ pub fn parallel_zip_map<T: Send, A: Send, R: Send>(
     let mut args: Vec<Option<A>> = args.into_iter().map(Some).collect();
     let mut out: Vec<Option<R>> = (0..items.len()).map(|_| None).collect();
     std::thread::scope(|scope| {
+        let mut workers = Vec::with_capacity(jobs);
         for ((slot_chunk, item_chunk), arg_chunk) in
             out.chunks_mut(chunk).zip(items.chunks_mut(chunk)).zip(args.chunks_mut(chunk))
         {
             let f = &f;
-            scope.spawn(move || {
+            workers.push(scope.spawn(move || {
                 for ((slot, item), arg) in
                     slot_chunk.iter_mut().zip(item_chunk).zip(arg_chunk)
                 {
@@ -109,8 +114,9 @@ pub fn parallel_zip_map<T: Send, A: Send, R: Send>(
                         *slot = Some(f(item, arg));
                     }
                 }
-            });
+            }));
         }
+        join_all(workers);
     });
     collect_slots(out)
 }
@@ -133,12 +139,28 @@ pub fn scoped_workers<T: Send>(
         return main();
     }
     std::thread::scope(|scope| {
+        let mut workers = Vec::with_capacity(n);
         for i in 0..n {
             let worker = &worker;
-            scope.spawn(move || worker(i));
+            workers.push(scope.spawn(move || worker(i)));
         }
-        main()
+        let out = main();
+        join_all(workers);
+        out
     })
+}
+
+/// Joins every worker of a scope, re-raising a worker's panic with its
+/// own payload. The scope alone would only wait for each worker's
+/// closure to return; joining also waits for the thread to exit, so the
+/// allocator has taken back the thread's arena before the next scope's
+/// workers start and they reuse it instead of opening new ones.
+fn join_all<T>(workers: Vec<std::thread::ScopedJoinHandle<'_, T>>) {
+    for worker in workers {
+        if let Err(panic) = worker.join() {
+            std::panic::resume_unwind(panic);
+        }
+    }
 }
 
 /// Unwraps the slot vector every helper fills. Chunking covers every
@@ -222,6 +244,20 @@ mod tests {
         );
         assert_eq!(out, 42);
         assert_eq!(done.get(), 3, "scope joins all workers");
+    }
+
+    #[test]
+    fn worker_panics_keep_their_payload() {
+        let items: Vec<u32> = (0..8).collect();
+        let caught = std::panic::catch_unwind(|| {
+            parallel_map(&items, 2, |&x| {
+                assert!(x != 6, "worker saw item {x}");
+                x
+            })
+        });
+        let payload = caught.expect_err("the worker panic propagates");
+        let msg = payload.downcast_ref::<String>().map(String::as_str).unwrap_or_default();
+        assert!(msg.contains("worker saw item 6"), "{msg:?}");
     }
 
     #[test]

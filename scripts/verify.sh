@@ -11,6 +11,12 @@ cargo build --release --offline --workspace --all-targets
 echo "==> cargo test --offline (workspace)"
 cargo test -q --offline --workspace
 
+echo "==> cargo test --offline (explain_e2e benchmark package)"
+# The benchmark is a package of its own outside the workspace, so the
+# workspace run above does not reach its tests: the stats checks, the
+# four-workload smoke test and the BENCHMARK.json name-drift check.
+cargo test -q --offline --manifest-path crates/bench/src/bin/explain_e2e/Cargo.toml
+
 echo "==> cargo clippy --offline -D warnings"
 cargo clippy --offline --workspace --all-targets -- -D warnings
 
@@ -109,6 +115,13 @@ echo "==> plan-churn property test under FUME_DEEPCHECK=1"
 # compile, and every full pass cross-checks against the pointer walk.
 FUME_DEEPCHECK=1 cargo test -q --offline -p fume-forest --test plan_churn
 
+echo "==> forest fingerprints and unlearning exactness under FUME_DEEPCHECK=1"
+# The golden test pins the serialized bytes of fitted, unlearned,
+# rolled-back and inserted forests; with deep checks on, every journaled
+# delete also re-validates the whole forest.
+FUME_DEEPCHECK=1 cargo test -q --offline -p fume-forest --test golden_fingerprint
+FUME_DEEPCHECK=1 cargo test -q --offline --test unlearning_exactness
+
 echo "==> lock-order deadlock detector: inversion fires, clean batteries stay silent"
 # The fume-obs sync suite includes a deliberate AB/BA inversion that must
 # produce a CycleReport, plus consistent-order runs that must not; the
@@ -169,11 +182,25 @@ rcli="target/release/fume-cli"
 serve="target/release/fume-serve"
 "$rcli" explain $common --json > "$smoke_dir/cli_report.json" 2>/dev/null
 session="$smoke_dir/serve_session.txt"
-printf '%s\n' \
-    '{"op":"explain","id":"r1"}' \
-    '{"op":"explain","id":"r2"}' \
-    '{"op":"stats","id":"r3"}' \
-    | "$serve" $common --workers 2 > "$session" 2>/dev/null
+: > "$session"
+# Each request goes out once the previous one is answered (waiting at
+# most 60 s). Sent together, r1 and r2 run at once on the two workers,
+# both look the subsets up before either stores them, and the repeat
+# can never hit the cache.
+wait_for_answers() {
+    tries=0
+    while [ "$(wc -l < "$session")" -lt "$1" ] && [ "$tries" -lt 600 ]; do
+        sleep 0.1
+        tries=$((tries + 1))
+    done
+}
+{
+    echo '{"op":"explain","id":"r1"}'
+    wait_for_answers 1
+    echo '{"op":"explain","id":"r2"}'
+    wait_for_answers 2
+    echo '{"op":"stats","id":"r3"}'
+} | "$serve" $common --workers 2 > "$session" 2>/dev/null
 lines=$(wc -l < "$session")
 if [ "$lines" -ne 3 ]; then
     echo "fume-serve session answered $lines/3 requests" >&2

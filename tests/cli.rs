@@ -1,11 +1,19 @@
 //! End-to-end tests of the `fume-cli` binary: real process, real CSV.
 
+use std::path::PathBuf;
 use std::process::Command;
 
-fn write_loans_csv() -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join("fume_cli_test");
+/// This test process's scratch directory. Tests run on parallel threads,
+/// so each one writes files under its own name in it.
+fn tmp_dir() -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("fume_cli_test_{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("loans.csv");
+    dir
+}
+
+/// Writes the loans CSV to `<test>.csv`, a file no other test touches.
+fn write_loans_csv(test: &str) -> PathBuf {
+    let path = tmp_dir().join(format!("{test}.csv"));
     let mut out = String::from("age,job,sex,approved\n");
     for i in 0..1500usize {
         let age = 20 + (i * 7) % 50;
@@ -49,7 +57,7 @@ fn common_args(cmd: &mut Command, csv: &std::path::Path) {
 
 #[test]
 fn explain_prints_a_topk_table() {
-    let csv = write_loans_csv();
+    let csv = write_loans_csv("explain_prints_a_topk_table");
     let mut cmd = cli();
     cmd.arg("explain");
     common_args(&mut cmd, &csv);
@@ -62,7 +70,7 @@ fn explain_prints_a_topk_table() {
 
 #[test]
 fn slices_and_baseline_subcommands_work() {
-    let csv = write_loans_csv();
+    let csv = write_loans_csv("slices_and_baseline_subcommands_work");
     for sub in ["slices", "baseline"] {
         let mut cmd = cli();
         cmd.arg(sub);
@@ -78,8 +86,8 @@ fn slices_and_baseline_subcommands_work() {
 
 #[test]
 fn explain_with_trace_writes_jsonl_and_profile() {
-    let csv = write_loans_csv();
-    let trace = std::env::temp_dir().join("fume_cli_test").join("trace.jsonl");
+    let csv = write_loans_csv("explain_with_trace_writes_jsonl_and_profile");
+    let trace = tmp_dir().join("trace.jsonl");
     let _ = std::fs::remove_file(&trace);
     let mut cmd = cli();
     cmd.arg("explain");
@@ -102,7 +110,7 @@ fn explain_with_trace_writes_jsonl_and_profile() {
     assert!(jsonl.contains("\"name\":\"forest.nodes_retrained\""));
 
     // FUME_TRACE is the env-var spelling of the same switch.
-    let trace2 = std::env::temp_dir().join("fume_cli_test").join("trace2.jsonl");
+    let trace2 = tmp_dir().join("trace2.jsonl");
     let _ = std::fs::remove_file(&trace2);
     let mut cmd = cli();
     cmd.arg("explain");
@@ -121,7 +129,7 @@ fn bad_invocations_exit_nonzero_with_usage() {
     assert!(String::from_utf8_lossy(&out.stderr).contains("usage:"));
 
     // Unknown metric.
-    let csv = write_loans_csv();
+    let csv = write_loans_csv("bad_invocations_exit_nonzero_with_usage");
     let mut cmd = cli();
     cmd.arg("explain");
     common_args(&mut cmd, &csv);
