@@ -1,10 +1,8 @@
 //! The unlearn-eval engine head-to-head: clone-per-eval (PR-1 shape)
-//! vs scratch-pool + undo-journal rollback vs the incremental bias path
-//! (journal-driven dirty-row prediction reuse), on Adult-scale synthetic
+//! vs scratch-pool + undo-journal rollback, on Adult-scale synthetic
 //! data. Emits `BENCH_unlearn_eval.json` with the measured throughputs
-//! and speedups; `scripts/verify.sh` runs the `--smoke` mode and fails
-//! if the pooled path ever regresses below the clone baseline, or the
-//! incremental path below the pooled one.
+//! and speedup; `scripts/verify.sh` runs the `--smoke` mode and fails
+//! if the pooled path ever regresses below the clone baseline.
 //!
 //! ```text
 //! cargo bench --bench unlearn_eval            # full Adult-scale run
@@ -32,9 +30,7 @@ fn setup(smoke: bool) -> Setup {
     let (mode, scale, trees, depth, n_subsets, rounds) =
         if smoke { ("smoke", 0.05, 30, 8, 8, 3) } else { ("full", 0.5, 50, 14, 30, 3) };
     let (data, group) = adult().generate_scaled(scale, 10).expect("generate");
-    // A substantial held-out split: scoring the counterfactual model is
-    // part of what the incremental path claims to win on (re-predicting
-    // only journal-dirty rows), so the bias evaluation must carry a
+    // A substantial held-out split, so the bias evaluation carries a
     // realistic share of the per-eval cost.
     let (train, test) = train_test_split(&data, 0.3, 10).expect("split");
     let cfg = DareConfig::default().with_trees(trees).with_max_depth(depth).with_seed(10);
@@ -76,26 +72,6 @@ fn run_path<R: RemovalMethod>(removal: R, s: &Setup) -> (Vec<f64>, f64) {
     (biases, best)
 }
 
-/// Like [`run_path`], but through [`RemovalMethod::bias_removed`] — the
-/// question FUME's hot loop actually asks — so a removal method with an
-/// incremental override gets to use it. The first round pays the
-/// one-time routing-index build; best-of-rounds reports the warm path.
-fn run_bias_path<R: RemovalMethod>(removal: R, s: &Setup) -> (Vec<f64>, f64) {
-    let eval =
-        BiasEval { metric: FairnessMetric::StatisticalParity, test: &s.test, group: s.group };
-    removal.warm(1);
-    let mut best = f64::INFINITY;
-    let mut biases = Vec::new();
-    for _ in 0..s.rounds {
-        let t0 = Instant::now();
-        let out: Vec<f64> =
-            s.subsets.iter().map(|subset| removal.bias_removed(subset, &eval)).collect();
-        best = best.min(t0.elapsed().as_secs_f64());
-        biases = out;
-    }
-    (biases, best)
-}
-
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
     // `FUME_TRACE=<path>`: record the whole head-to-head as a JSONL trace,
@@ -112,21 +88,16 @@ fn main() {
 
     let (clone_biases, clone_secs) = run_path(DareCloneRemoval::new(&s.forest, &s.train), &s);
     let (pool_biases, pool_secs) = run_path(DareRemoval::new(&s.forest, &s.train), &s);
-    let (incr_biases, incr_secs) = run_bias_path(DareRemoval::new(&s.forest, &s.train), &s);
 
     // The engines must agree bit-for-bit before their speed is comparable.
     assert_eq!(clone_biases.len(), pool_biases.len());
-    assert_eq!(clone_biases.len(), incr_biases.len());
-    for ((a, b), c) in clone_biases.iter().zip(&pool_biases).zip(&incr_biases) {
+    for (a, b) in clone_biases.iter().zip(&pool_biases) {
         assert_eq!(a.to_bits(), b.to_bits(), "pool and clone paths diverged");
-        assert_eq!(a.to_bits(), c.to_bits(), "incremental path diverged from full recompute");
     }
 
     let clone_tput = evals as f64 / clone_secs;
     let pool_tput = evals as f64 / pool_secs;
-    let incr_tput = evals as f64 / incr_secs;
     let speedup = clone_secs / pool_secs;
-    let incr_speedup = pool_secs / incr_secs;
 
     println!(
         "unlearn_eval ({} · {} rows · {} test rows · {} trees · {evals} evals/round · {} rounds)",
@@ -138,18 +109,14 @@ fn main() {
     );
     println!("  clone-per-eval   {clone_secs:>9.3}s   {clone_tput:>8.1} evals/s");
     println!("  pool+rollback    {pool_secs:>9.3}s   {pool_tput:>8.1} evals/s");
-    println!("  incr dirty-rows  {incr_secs:>9.3}s   {incr_tput:>8.1} evals/s");
     println!("  speedup          {speedup:>9.2}x (pool vs clone)");
-    println!("  incr_speedup     {incr_speedup:>9.2}x (incr vs pool)");
 
     let json = format!(
         "{{\"bench\":\"unlearn_eval\",\"mode\":\"{}\",\"rows\":{},\"trees\":{},\
          \"evals_per_round\":{evals},\"rounds\":{},\
          \"clone_per_eval_secs\":{clone_secs:.6},\"pool_rollback_secs\":{pool_secs:.6},\
-         \"incr_rollback_secs\":{incr_secs:.6},\
          \"clone_evals_per_sec\":{clone_tput:.3},\"pool_evals_per_sec\":{pool_tput:.3},\
-         \"incr_evals_per_sec\":{incr_tput:.3},\
-         \"speedup\":{speedup:.3},\"incr_speedup\":{incr_speedup:.3}}}\n",
+         \"speedup\":{speedup:.3}}}\n",
         s.mode,
         s.train.num_rows(),
         s.forest.config().n_trees,

@@ -16,7 +16,7 @@ use fume_tabular::{Dataset, GroupSpec};
 use crate::attribution::{AttributionEstimator, EvalMemo};
 use crate::checkpoint::{self, CheckpointError};
 use crate::config::FumeConfig;
-use crate::removal::{DareCloneRemoval, DareRemoval, RetrainRemoval, SharedAdapter};
+use crate::removal::{DareRemoval, SharedAdapter};
 use crate::request::{ExplainRequest, ModelSpec, RemovalSpec};
 
 /// Errors from a FUME run.
@@ -252,18 +252,10 @@ impl Fume {
             (RemovalSpec::Shared(_), None) => Err(FumeError::InvalidRequest(
                 "a shared removal method requires a prebuilt model in the request".into(),
             )),
-            (RemovalSpec::Retrain, Some(ModelSpec::Classifier(model))) => self.run_inner(
-                RetrainRemoval::new(request.train, self.config.forest.clone()),
-                *model,
-                request.train,
-                request.test,
-                request.group,
-                request.memo,
-            ),
-            (RemovalSpec::Dare | RemovalSpec::DareClone, Some(ModelSpec::Classifier(_))) => {
+            (RemovalSpec::Dare, Some(ModelSpec::Classifier(_))) => {
                 Err(FumeError::InvalidRequest(
                     "exact DaRE unlearning needs a DaRE forest model; supply \
-                     ModelSpec::Forest, or override the removal with Retrain/Shared"
+                     ModelSpec::Forest, or override the removal with Shared"
                         .into(),
                 ))
             }
@@ -271,10 +263,11 @@ impl Fume {
         }
     }
 
-    /// The forest-backed half of [`run`](Self::run): resolves the
-    /// deployed DaRE forest (provided, resumed, or freshly trained),
-    /// applies checkpoint normalization, and builds the configured
-    /// removal method around it.
+    /// The forest-backed half of [`run`](Self::run), reached only with
+    /// [`RemovalSpec::Dare`]: resolves the deployed DaRE forest
+    /// (provided, resumed, or freshly trained), applies checkpoint
+    /// normalization, and explains it through the pooled
+    /// [`DareRemoval`].
     fn run_forest(&self, request: &ExplainRequest<'_>) -> Result<FumeReport, FumeError> {
         let mut training_time = Duration::ZERO;
         let trained: Option<DareForest> = match request.model {
@@ -313,7 +306,7 @@ impl Fume {
         } else if let Some(ModelSpec::Forest(forest)) = request.model {
             forest
         } else {
-            // `run` routed every classifier-model combination elsewhere.
+            // `run` routed every classifier model elsewhere.
             return Err(FumeError::InvalidRequest(
                 "this model/removal combination needs a DaRE forest".into(),
             ));
@@ -325,96 +318,10 @@ impl Fume {
         let forest = normalized.as_ref().unwrap_or(forest);
         let (train, test, group, memo) =
             (request.train, request.test, request.group, request.memo);
-        let mut report = match request.removal {
-            RemovalSpec::Dare => self.run_inner(
-                DareRemoval::new(forest, train),
-                forest,
-                train,
-                test,
-                group,
-                memo,
-            )?,
-            RemovalSpec::DareClone => self.run_inner(
-                DareCloneRemoval::new(forest, train),
-                forest,
-                train,
-                test,
-                group,
-                memo,
-            )?,
-            RemovalSpec::Retrain => self.run_inner(
-                RetrainRemoval::new(train, self.config.forest.clone()),
-                forest,
-                train,
-                test,
-                group,
-                memo,
-            )?,
-            RemovalSpec::Shared(_) => {
-                // Handled (with and without a model) in `run`.
-                return Err(FumeError::InvalidRequest(
-                    "a shared removal method requires a prebuilt model in the request"
-                        .into(),
-                ));
-            }
-        };
+        let mut report =
+            self.run_inner(DareRemoval::new(forest, train), forest, train, test, group, memo)?;
         report.training_time = training_time;
         Ok(report)
-    }
-
-    /// Trains a DaRE forest on `train` and explains its violation on
-    /// `test`. When resuming a checkpointed run, the persisted forest is
-    /// reloaded instead (training time reported as zero).
-    #[deprecated(note = "use `Fume::run` with an `ExplainRequest` (see docs/serving.md)")]
-    pub fn explain(
-        &self,
-        train: &Dataset,
-        test: &Dataset,
-        group: GroupSpec,
-    ) -> Result<FumeReport, FumeError> {
-        self.run(&ExplainRequest::new(train, test, group))
-    }
-
-    /// Explains an already-trained forest's violation on `test`. The
-    /// forest must have been trained on exactly the rows of `train`.
-    #[deprecated(
-        note = "use `Fume::run` with `ExplainRequest::with_model` (see docs/serving.md)"
-    )]
-    pub fn explain_model(
-        &self,
-        forest: &DareForest,
-        train: &Dataset,
-        test: &Dataset,
-        group: GroupSpec,
-    ) -> Result<FumeReport, FumeError> {
-        self.run(&ExplainRequest::new(train, test, group).with_model(forest))
-    }
-
-    /// Explains *any* deployed classifier's violation, given a
-    /// [`RemovalMethod`](crate::removal::RemovalMethod) that answers
-    /// "what would the model be without subset T" — the paper's §5.1
-    /// extensibility: swap the removal method, keep Algorithm 1.
-    ///
-    /// `model` must be the deployed model trained on exactly the rows of
-    /// `train`, and `removal.with_removed(T, f)` must hand `f` a model
-    /// emulating training on `train \ T`.
-    #[deprecated(
-        note = "use `Fume::run` with `ExplainRequest::with_classifier` and a \
-                Retrain/Shared `RemovalSpec` (see docs/serving.md)"
-    )]
-    pub fn explain_with<R, C>(
-        &self,
-        removal: R,
-        model: &C,
-        train: &Dataset,
-        test: &Dataset,
-        group: GroupSpec,
-    ) -> Result<FumeReport, FumeError>
-    where
-        R: crate::removal::RemovalMethod,
-        C: fume_tabular::Classifier + ?Sized,
-    {
-        self.run_inner(removal, model, train, test, group, None)
     }
 
     /// The run body shared by every entrypoint: violation check, lattice
@@ -777,26 +684,5 @@ mod tests {
         let (unlearned, report) = apply_removal(&forest, &train, &[0, 1, 2]);
         assert_eq!(unlearned.num_instances() + 3, forest.num_instances());
         assert!(report.leaves_updated > 0 || report.subtrees_retrained > 0);
-    }
-
-    /// Pins the deprecation contract: the legacy entrypoints are thin
-    /// wrappers over `Fume::run` and stay bit-identical to it.
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_wrappers_delegate_to_run() {
-        let (train, test, group) = setup();
-        let fume = Fume::new(config());
-        let via_run = fume.run(&ExplainRequest::new(&train, &test, group)).unwrap();
-        let via_explain = fume.explain(&train, &test, group).unwrap();
-        assert_eq!(via_run.top_k, via_explain.top_k);
-        assert_eq!(via_run.evaluated, via_explain.evaluated);
-
-        let forest = DareForest::fit(&train, fume.config().forest.clone());
-        let via_run_model = fume
-            .run(&ExplainRequest::new(&train, &test, group).with_model(&forest))
-            .unwrap();
-        let via_explain_model = fume.explain_model(&forest, &train, &test, group).unwrap();
-        assert_eq!(via_run_model.top_k, via_explain_model.top_k);
-        assert_eq!(via_run_model.evaluated, via_explain_model.evaluated);
     }
 }

@@ -100,10 +100,8 @@ impl<'a, R: RemovalMethod> AttributionEstimator<'a, R> {
         self
     }
 
-    /// `ρ` for a single subset. Goes through
-    /// [`RemovalMethod::bias_removed`], so a removal method with an
-    /// incremental path (journal-driven dirty-row reuse) answers without
-    /// a full prediction pass.
+    /// `ρ` for a single subset, measured through
+    /// [`RemovalMethod::bias_removed`].
     pub fn rho(&self, subset: &[u32]) -> f64 {
         let eval = BiasEval { metric: self.metric, test: self.test, group: self.group };
         let new_bias = self.removal.bias_removed(subset, &eval);

@@ -18,20 +18,17 @@
 //!   efficiency baseline);
 //! * [`GbdtRetrainRemoval`] — model-agnostic retraining for GBDTs.
 
-use std::sync::Arc;
-
 use fume_obs::sync::{TrackedGuard, TrackedMutex};
 
-use fume_fairness::{FairnessMetric, GroupConfusion};
-use fume_forest::{DareConfig, DareForest, Gbdt, GbdtConfig, PredictPlan, RoutingIndex};
-use fume_tabular::{float, Classifier, Dataset, GroupSpec};
+use fume_fairness::FairnessMetric;
+use fume_forest::{DareConfig, DareForest, Gbdt, GbdtConfig};
+use fume_tabular::{Classifier, Dataset, GroupSpec};
 
 /// One bias measurement, fully specified: which metric, over which
 /// held-out rows, against which sensitive-group split. FUME's hot loop
-/// only ever asks removal methods this one question, so bundling it lets
-/// [`RemovalMethod::bias_removed`] answer *incrementally* (re-predict
-/// only journal-dirty rows, patch the confusion tally) while the
-/// closure-based [`RemovalMethod::with_removed`] stays fully general.
+/// only ever asks removal methods this one question, through
+/// [`RemovalMethod::bias_removed`]; the closure-based
+/// [`RemovalMethod::with_removed`] stays fully general.
 #[derive(Clone, Copy)]
 pub struct BiasEval<'a> {
     /// The fairness metric to measure.
@@ -61,13 +58,11 @@ pub trait RemovalMethod: Sync {
     /// materialising a fresh model per call.
     fn with_removed<T>(&self, subset: &[u32], f: impl FnOnce(&dyn Classifier) -> T) -> T;
 
-    /// The bias of the model with `subset` removed. Semantically this is
-    /// exactly `self.with_removed(subset, |m| eval.full(m))` — and that
-    /// is the default — but an implementation may override it with an
-    /// incremental path (e.g. [`DareRemoval`]'s journal-driven dirty-row
-    /// reuse) **only if** the override is bitwise identical to the full
-    /// recompute on every input; `FUME_DEEPCHECK=1` cross-checks the
-    /// claim per call in debug builds.
+    /// The bias of the model with `subset` removed: one full prediction
+    /// pass over the test rows, `self.with_removed(subset, |m|
+    /// eval.full(m))`. A wrapper may override it (to time or count the
+    /// evals it forwards, say) **only if** its answer stays bitwise
+    /// identical to that default on every input.
     fn bias_removed(&self, subset: &[u32], eval: &BiasEval<'_>) -> f64 {
         self.with_removed(subset, |model| eval.full(model))
     }
@@ -100,8 +95,8 @@ pub trait RemovalDyn: Sync {
     fn with_removed_dyn(&self, subset: &[u32], f: &mut dyn FnMut(&dyn Classifier));
 
     /// Type-erased [`RemovalMethod::bias_removed`] — already first-order,
-    /// mirrored so a shared method keeps its incremental fast path across
-    /// the `&dyn` boundary.
+    /// mirrored so a shared method's own override survives the `&dyn`
+    /// boundary.
     fn bias_removed_dyn(&self, subset: &[u32], eval: &BiasEval<'_>) -> f64;
 
     /// Type-erased [`RemovalMethod::warm`].
@@ -151,8 +146,8 @@ impl RemovalMethod for SharedAdapter<'_> {
     }
 
     fn bias_removed(&self, subset: &[u32], eval: &BiasEval<'_>) -> f64 {
-        // Forward instead of taking the generic default, so a shared
-        // warm pool keeps its incremental path (serve's case).
+        // Forward instead of taking the generic default, so the shared
+        // method's own override (e.g. a timing wrapper) is what runs.
         self.0.bias_removed_dyn(subset, eval)
     }
 
@@ -173,82 +168,12 @@ pub struct DareRemoval<'a> {
     forest: &'a DareForest,
     train: &'a Dataset,
     pool: TrackedMutex<Vec<DareForest>>,
-    /// Lazily built incremental-evaluation state for the one
-    /// `(test, group)` pair the current run measures; replaced if a
-    /// different evaluation shows up. Behind its own lock so concurrent
-    /// workers share a single build.
-    incr: TrackedMutex<Option<Arc<IncrState>>>,
 }
 
 /// Poison recovery for the scratch pool — see [`DareRemoval::pool_guard`].
 fn reset_pool(pool: &mut Vec<DareForest>) {
     fume_obs::counter!("fume.scratch.poison_recoveries", 1);
     pool.clear();
-}
-
-/// Poison recovery for the incremental-eval state: drop it and let the
-/// next call rebuild from the deployed forest (the state is a pure cache,
-/// so losing it costs one rebuild, never correctness).
-fn reset_incr(state: &mut Option<Arc<IncrState>>) {
-    *state = None;
-}
-
-/// Everything [`DareRemoval::bias_removed`] needs to answer a bias query
-/// by re-predicting only journal-dirty rows: the routing index over the
-/// deployed forest, the deployed model's hard predictions, the confusion
-/// tally they produce, and the group mask — all for one fixed
-/// `(test, group)` evaluation.
-///
-/// Scratch forests are byte-identical to the deployed forest between
-/// rollbacks (debug-asserted per eval), so one index built against the
-/// deployed forest names dirty rows for every lease.
-#[derive(Debug)]
-struct IncrState {
-    /// Identity of the `test` dataset this state was built for. Stored as
-    /// an address (datasets are borrowed for the estimator's lifetime and
-    /// never move mid-run); `n_rows` and `group` back the check, and
-    /// `FUME_DEEPCHECK=1` re-derives every answer from scratch.
-    test_ptr: usize,
-    n_rows: usize,
-    group: GroupSpec,
-    index: RoutingIndex,
-    /// The deployed model's hard prediction per test row.
-    base_preds: Vec<bool>,
-    /// The tally of `base_preds` — the starting point every eval patches.
-    base_confusion: GroupConfusion,
-    /// `test.privileged_mask(group)`, precomputed.
-    privileged: Vec<bool>,
-}
-
-impl IncrState {
-    fn build(forest: &DareForest, eval: &BiasEval<'_>) -> Self {
-        // One plan compile feeds both full passes over the test set: the
-        // routing-index build and the deployed model's base predictions.
-        // The plan kernel is bitwise identical to the pointer walk, so
-        // the cached contributions and predictions are exactly what the
-        // reference path would produce.
-        let plan = PredictPlan::compile(forest);
-        let index = RoutingIndex::build_with_plan(&plan, eval.test);
-        let base_preds = plan.predict(eval.test);
-        let privileged = eval.test.privileged_mask(eval.group);
-        let base_confusion =
-            GroupConfusion::tally(&base_preds, eval.test.labels(), &privileged);
-        Self {
-            test_ptr: eval.test as *const Dataset as usize,
-            n_rows: eval.test.num_rows(),
-            group: eval.group,
-            index,
-            base_preds,
-            base_confusion,
-            privileged,
-        }
-    }
-
-    fn matches(&self, eval: &BiasEval<'_>) -> bool {
-        self.test_ptr == eval.test as *const Dataset as usize
-            && self.n_rows == eval.test.num_rows()
-            && self.group == eval.group
-    }
 }
 
 impl<'a> DareRemoval<'a> {
@@ -260,7 +185,6 @@ impl<'a> DareRemoval<'a> {
             forest,
             train,
             pool: TrackedMutex::with_recovery("core.scratch_pool", Vec::new(), reset_pool),
-            incr: TrackedMutex::with_recovery("core.incr_state", None, reset_incr),
         }
     }
 
@@ -302,35 +226,6 @@ impl<'a> DareRemoval<'a> {
         fume_obs::fault::fault_point("scratch-pool-release");
         pool.push(scratch);
     }
-
-    /// Builds the incremental-evaluation state for `eval` ahead of the
-    /// first bias query, so no request pays the cold routing-index +
-    /// base-prediction build mid-loop (a serving engine calls this right
-    /// after [`RemovalMethod::warm`]). A no-op when the state cannot
-    /// exist (empty forest or test set) or is already built for this
-    /// evaluation.
-    pub fn prewarm_incremental(&self, eval: &BiasEval<'_>) {
-        let _ = self.incr_state(eval);
-    }
-
-    /// The incremental-eval state for `eval`, building (or replacing) it
-    /// under the lock so concurrent workers pay for one build. `None`
-    /// when no incremental state can exist — an empty forest or an empty
-    /// test set, where the full path is the only correct answer.
-    fn incr_state(&self, eval: &BiasEval<'_>) -> Option<Arc<IncrState>> {
-        if self.forest.trees().is_empty() || eval.test.is_empty() {
-            return None;
-        }
-        let mut guard = self.incr.lock();
-        match guard.as_ref() {
-            Some(state) if state.matches(eval) => Some(Arc::clone(state)),
-            _ => {
-                let built = Arc::new(IncrState::build(self.forest, eval));
-                *guard = Some(Arc::clone(&built));
-                Some(built)
-            }
-        }
-    }
 }
 
 impl RemovalMethod for DareRemoval<'_> {
@@ -347,99 +242,6 @@ impl RemovalMethod for DareRemoval<'_> {
         fume_forest::deepcheck::check_forest(&scratch, self.train, "rollback");
         self.release(scratch);
         out
-    }
-
-    /// The incremental fast path: the journal from `delete_journaled`
-    /// names every leaf and subtree the deletion touched; the routing
-    /// index maps those edits back to exactly the `(tree, row)`
-    /// contributions that changed, with their replacement values (one
-    /// leaf lookup per edited leaf, one single-tree walk per rebuilt-cone
-    /// row, bit-identical results filtered out at the source). Every
-    /// clean contribution is reused from the cache, which a fresh walk
-    /// would reproduce bit-for-bit. Each dirty row's ensemble vote is
-    /// then re-summed in tree order and divided once, the exact float
-    /// sequence of [`DareForest::predict_row`], and the confusion tally
-    /// is patched via integer [`GroupConfusion::reclassify`] deltas. The
-    /// resulting ρ is bitwise identical to a full recompute —
-    /// `FUME_DEEPCHECK=1` re-derives it from scratch per call in debug
-    /// builds to prove it.
-    fn bias_removed(&self, subset: &[u32], eval: &BiasEval<'_>) -> f64 {
-        let Some(state) = self.incr_state(eval) else {
-            // Empty forest or empty test set: nothing to index, fall back
-            // loudly to the reference path.
-            fume_obs::counter!("fume.incr.full_fallbacks", 1);
-            return self.with_removed(subset, |model| eval.full(model));
-        };
-        let mut scratch = self.lease();
-        let journal = scratch.delete_journaled(subset, self.train);
-        fume_obs::counter!("fume.journal.bytes", journal.approx_bytes());
-
-        let dirty = state.index.dirty_rows(&journal, &scratch, eval.test);
-        let reused = state.n_rows - dirty.rows.len();
-        fume_obs::counter!("fume.incr.dirty_rows", dirty.rows.len());
-        fume_obs::counter!("fume.incr.reused_rows", reused);
-        fume_obs::histogram!("fume.incr.reuse_ratio_pct", reused * 100 / state.n_rows);
-
-        // Re-sum each dirty row's ensemble vote in tree order — the exact
-        // predict_row float sequence. Trees outer, rows inner: every
-        // row's accumulator takes tree t's term before tree t+1's, each
-        // tree's cached contributions stream from one contiguous slice,
-        // and the tree's changed contributions merge in by sorted row id.
-        let n_trees = state.index.num_trees();
-        let mut acc = vec![0.0f64; dirty.rows.len()];
-        for t in 0..n_trees {
-            let pairs = &dirty.fresh[t];
-            let cached = state.index.tree_probas(t);
-            let mut pi = 0;
-            for (i, &row) in dirty.rows.iter().enumerate() {
-                acc[i] += if pi < pairs.len() && pairs[pi].0 == row {
-                    let v = pairs[pi].1;
-                    pi += 1;
-                    v
-                } else {
-                    cached[row as usize]
-                };
-            }
-            debug_assert_eq!(pi, pairs.len(), "every fresh contribution must be consumed");
-        }
-
-        let k = n_trees as f64;
-        let labels = eval.test.labels();
-        let mut confusion = state.base_confusion;
-        for (i, &row) in dirty.rows.iter().enumerate() {
-            let row = row as usize;
-            let new_pred = float::positive_class(acc[i] / k);
-            confusion.reclassify(
-                state.privileged[row],
-                labels[row],
-                state.base_preds[row],
-                new_pred,
-            );
-        }
-        // The incremental path answers the same question one
-        // `metric.evaluate` call would, so it pays the same counter.
-        fume_obs::counter!("fairness.metric_evals", 1);
-        let bias = eval.metric.from_confusion(&confusion).abs();
-
-        if fume_forest::deepcheck::enabled() {
-            // Cross-check against the reference path *before* rollback,
-            // while the scratch forest still is the counterfactual model.
-            let full = eval.full(&scratch);
-            assert!(
-                float::bit_eq(bias, full),
-                "FUME_DEEPCHECK: incremental bias {bias:.17} != full recompute \
-                 {full:.17} for a {}-row subset ({} dirty test rows)",
-                subset.len(),
-                dirty.rows.len(),
-            );
-        }
-
-        let restored = scratch.rollback(journal);
-        fume_obs::counter!("fume.rollback.nodes_restored", restored);
-        debug_assert_eq!(&scratch, self.forest, "rollback must restore the snapshot");
-        fume_forest::deepcheck::check_forest(&scratch, self.train, "rollback");
-        self.release(scratch);
-        bias
     }
 
     fn warm(&self, workers: usize) {
@@ -648,6 +450,33 @@ mod tests {
         erased.warm_dyn(3);
         assert_eq!(removal.pooled_scratch(), 3);
         assert_eq!(erased.name_dyn(), "DaRE unlearning");
+
+        // Back across the bridge, `SharedAdapter` must route
+        // `bias_removed` to the wrapped method's own override rather
+        // than the generic default.
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        struct Counting<'a> {
+            inner: DareRemoval<'a>,
+            calls: AtomicUsize,
+        }
+        impl RemovalMethod for Counting<'_> {
+            fn with_removed<T>(&self, subset: &[u32], f: impl FnOnce(&dyn Classifier) -> T) -> T {
+                self.inner.with_removed(subset, f)
+            }
+            fn bias_removed(&self, subset: &[u32], eval: &BiasEval<'_>) -> f64 {
+                self.calls.fetch_add(1, Ordering::Relaxed);
+                self.inner.bias_removed(subset, eval)
+            }
+            fn name(&self) -> &'static str {
+                "counting"
+            }
+        }
+        let counting =
+            Counting { inner: DareRemoval::new(&forest, &train), calls: AtomicUsize::new(0) };
+        let eval = BiasEval { metric, test: &test, group };
+        let via_shared = SharedAdapter(&counting).bias_removed(&subset, &eval);
+        assert_eq!(counting.calls.load(Ordering::Relaxed), 1, "override bypassed");
+        assert_eq!(via_shared.to_bits(), direct.to_bits());
     }
 
     #[test]

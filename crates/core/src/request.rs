@@ -8,7 +8,7 @@
 //! the protected group, an optional prebuilt model, an optional removal
 //! override, and an optional cross-request eval memo — and
 //! [`Fume::run`](crate::Fume::run) is the single code path that executes
-//! it. The old entrypoints survive as thin deprecated wrappers.
+//! it.
 
 use fume_forest::DareForest;
 use fume_tabular::{Classifier, Dataset, GroupSpec};
@@ -25,8 +25,8 @@ pub enum ModelSpec<'a> {
     /// removal override, including exact unlearning.
     Forest(&'a DareForest),
     /// Any classifier. Exact DaRE unlearning cannot be applied to an
-    /// opaque model, so this requires a retraining or shared removal
-    /// override (the paper's §5.1 extensibility route).
+    /// opaque model, so this requires a shared removal override, such
+    /// as a retraining method (the paper's §5.1 extensibility route).
     Classifier(&'a dyn Classifier),
 }
 
@@ -58,17 +58,12 @@ pub enum RemovalSpec<'a> {
     /// ([`DareRemoval`](crate::DareRemoval)) — FUME's default.
     #[default]
     Dare,
-    /// DaRE unlearning cloning the deployed forest per eval
-    /// ([`DareCloneRemoval`](crate::DareCloneRemoval)); the benchmark
-    /// baseline, bit-identical to [`RemovalSpec::Dare`].
-    DareClone,
-    /// Retrain from scratch on the complement
-    /// ([`RetrainRemoval`](crate::RetrainRemoval)) — the ground truth.
-    Retrain,
     /// A caller-owned removal method shared across requests — e.g.
-    /// `fume-serve`'s long-lived warm pool, or a custom
-    /// [`RemovalMethod`](crate::RemovalMethod) impl reached through the
-    /// [`RemovalDyn`] bridge. Requires a prebuilt model in the request.
+    /// `fume-serve`'s long-lived warm pool, the clone-per-eval
+    /// [`DareCloneRemoval`](crate::DareCloneRemoval) baseline, retraining
+    /// from scratch with [`RetrainRemoval`](crate::RetrainRemoval), or a
+    /// custom [`RemovalMethod`](crate::RemovalMethod) impl reached through
+    /// the [`RemovalDyn`] bridge. Requires a prebuilt model in the request.
     Shared(&'a dyn RemovalDyn),
 }
 
@@ -76,8 +71,6 @@ impl std::fmt::Debug for RemovalSpec<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             Self::Dare => f.write_str("RemovalSpec::Dare"),
-            Self::DareClone => f.write_str("RemovalSpec::DareClone"),
-            Self::Retrain => f.write_str("RemovalSpec::Retrain"),
             Self::Shared(r) => write!(f, "RemovalSpec::Shared({})", r.name_dyn()),
         }
     }
@@ -152,8 +145,8 @@ impl<'a> ExplainRequest<'a> {
     }
 
     /// Explains an arbitrary deployed classifier; requires a
-    /// [`RemovalSpec::Retrain`] or [`RemovalSpec::Shared`] override,
-    /// since exact DaRE unlearning needs a DaRE forest.
+    /// [`RemovalSpec::Shared`] override, since exact DaRE unlearning
+    /// needs a DaRE forest.
     #[must_use]
     pub fn with_classifier(mut self, model: &'a dyn Classifier) -> Self {
         self.model = Some(ModelSpec::Classifier(model));

@@ -10,10 +10,8 @@
 //! contract, pinned by tests here and at the metric layer, is that an
 //! empty denominator rates **0.0**, never NaN or ±∞. Metrics built as
 //! rate differences therefore stay finite and inside `[-1, 1]` on any
-//! input, degenerate or not; downstream evaluators (the core
-//! `NonFiniteAttribution` boundary) never see a NaN born here, and the
-//! incremental delta path ([`Confusion::reclassify`]) cannot disagree
-//! with a fresh tally about degenerate groups.
+//! input, degenerate or not, and downstream evaluators (the core
+//! `NonFiniteAttribution` boundary) never see a NaN born here.
 
 /// Confusion counts of one sensitive group.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -64,35 +62,6 @@ impl Confusion {
     pub fn accuracy(&self) -> f64 {
         ratio(self.tp + self.tn, self.total())
     }
-
-    /// Moves one row with label `y` from prediction `old_pred` to
-    /// `new_pred`: decrements the confusion cell the row used to occupy
-    /// and increments the one it occupies now. This is the delta an
-    /// incremental evaluator applies per re-predicted row instead of
-    /// re-tallying the whole dataset — counts are integers, so a tally
-    /// patched by `reclassify` is *identical* (not merely close) to a
-    /// fresh [`GroupConfusion::tally`] over the updated predictions.
-    ///
-    /// A no-op delta (`old_pred == new_pred`) is permitted and does
-    /// nothing. The row must actually be counted in this confusion
-    /// (debug builds panic on cell underflow).
-    pub fn reclassify(&mut self, y: bool, old_pred: bool, new_pred: bool) {
-        if old_pred == new_pred {
-            return;
-        }
-        fn cell(c: &mut Confusion, pred: bool, y: bool) -> &mut u32 {
-            match (pred, y) {
-                (true, true) => &mut c.tp,
-                (true, false) => &mut c.fp,
-                (false, false) => &mut c.tn,
-                (false, true) => &mut c.fn_,
-            }
-        }
-        let old_cell = cell(self, old_pred, y);
-        debug_assert!(*old_cell > 0, "reclassify underflow: row was never tallied here");
-        *old_cell -= 1;
-        *cell(self, new_pred, y) += 1;
-    }
 }
 
 #[inline]
@@ -131,14 +100,6 @@ impl GroupConfusion {
             }
         }
         out
-    }
-
-    /// [`Confusion::reclassify`] routed to the right group: applies the
-    /// `(row, old_pred, new_pred)` delta of a row with label `y` in the
-    /// privileged (`is_priv`) or protected group.
-    pub fn reclassify(&mut self, is_priv: bool, y: bool, old_pred: bool, new_pred: bool) {
-        let c = if is_priv { &mut self.privileged } else { &mut self.protected };
-        c.reclassify(y, old_pred, new_pred);
     }
 }
 
@@ -198,46 +159,6 @@ mod tests {
                 assert!(rate.is_finite() && (0.0..=1.0).contains(&rate), "{c:?}: {rate}");
             }
         }
-    }
-
-    #[test]
-    fn reclassify_matches_a_fresh_tally() {
-        let mut preds = vec![true, true, false, false, true, false];
-        let labels = [true, false, false, true, true, false];
-        let mask = [true, true, true, false, false, false];
-        let mut g = GroupConfusion::tally(&preds, &labels, &mask);
-        // Flip a few predictions one row at a time, patching the tally.
-        for row in [0usize, 3, 5, 0] {
-            let new_pred = !preds[row];
-            g.reclassify(mask[row], labels[row], preds[row], new_pred);
-            preds[row] = new_pred;
-            assert_eq!(g, GroupConfusion::tally(&preds, &labels, &mask), "after row {row}");
-        }
-        // A no-op delta changes nothing.
-        let before = g;
-        g.reclassify(mask[1], labels[1], preds[1], preds[1]);
-        assert_eq!(g, before);
-    }
-
-    #[test]
-    fn reclassify_can_empty_and_refill_a_denominator() {
-        // One privileged row predicted positive; reclassifying it away
-        // empties the Ŷ=1 set (PPV denominator) and back.
-        let mut c = Confusion { tp: 1, fp: 0, tn: 1, fn_: 0 };
-        c.reclassify(true, true, false);
-        assert_eq!(c, Confusion { tp: 0, fp: 0, tn: 1, fn_: 1 });
-        assert_eq!(c.ppv(), 0.0, "emptied denominator rates zero");
-        c.reclassify(true, false, true);
-        assert_eq!(c, Confusion { tp: 1, fp: 0, tn: 1, fn_: 0 });
-        assert_eq!(c.ppv(), 1.0);
-    }
-
-    #[cfg(debug_assertions)]
-    #[test]
-    #[should_panic(expected = "reclassify underflow")]
-    fn reclassify_of_an_untallied_row_panics_in_debug() {
-        let mut c = Confusion::default();
-        c.reclassify(true, true, false);
     }
 
     #[test]

@@ -253,9 +253,6 @@ impl DareForest {
     /// Positive-class probability for a single `row` of `data` — bitwise
     /// identical to `predict_proba(data)[row]`: same tree order, same
     /// accumulate-then-divide float sequence, same empty-forest answer.
-    /// Incremental evaluators re-predict only dirty rows through this, so
-    /// a partially refreshed prediction vector cannot drift from a full
-    /// pass.
     pub fn predict_row(&self, data: &Dataset, row: usize) -> f64 {
         if self.trees.is_empty() {
             return 0.5;

@@ -61,14 +61,6 @@ impl NodePath {
         ancestor.depth <= self.depth && (self.bits & mask) == ancestor.bits
     }
 
-    /// The raw left/right step sequence: bit `i` is the step taken at
-    /// depth `i` (0 = left, 1 = right). The prediction plan walks its
-    /// flattened arena with these bits instead of chasing child
-    /// pointers.
-    pub(crate) fn bits(self) -> u64 {
-        self.bits
-    }
-
     /// Number of steps from the root (the root itself has depth 0).
     pub(crate) fn depth(self) -> u8 {
         self.depth

@@ -32,8 +32,7 @@
 //! Full prediction passes over a deployed forest run through a
 //! [`PredictPlan`]: a read-optimized struct-of-arrays arena compiled from
 //! the pointer trees, traversed by a blocked kernel that is bitwise
-//! identical to the pointer walk and patchable from the same journals
-//! (see the [`plan`] module).
+//! identical to the pointer walk (see the [`plan`] module).
 
 #![warn(missing_docs)]
 
@@ -60,6 +59,6 @@ pub use forest::{DareForest, ForestError};
 pub use gbdt::{Gbdt, GbdtConfig};
 pub use insert::InsertReport;
 pub use journal::{TreeUndo, UndoJournal};
-pub use plan::{PlanCones, PredictPlan, BLOCK_ROWS, PLAN_FULL_PASS_MIN_ROWS};
+pub use plan::{PredictPlan, BLOCK_ROWS, PLAN_FULL_PASS_MIN_ROWS};
 pub use routing::{DirtyRows, RoutingIndex};
 pub use tree::DareTree;

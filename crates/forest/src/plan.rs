@@ -6,26 +6,23 @@
 //! statistics exact unlearning needs, children live behind `Box`es, and a
 //! prediction walk chases one heap pointer per level. That layout is right
 //! for `delete`/`insert` and wrong for the full passes FUME's pipeline
-//! keeps paying — routing-index builds, baseline scoring, serve cold
-//! paths — where the *same* static structure is traversed for thousands
-//! of rows. DaRE-style systems (Brophy & Lowd; DynFrs) keep the mutable
-//! training structure and serve inference from a compact read-only copy;
-//! [`PredictPlan`] is that copy.
+//! keeps paying — violation checks, baseline scoring, the bias of every
+//! counterfactual model over a large test set — where the *same* static
+//! structure is traversed for thousands of rows. DaRE-style systems
+//! (Brophy & Lowd; DynFrs) keep the mutable training structure and serve
+//! inference from a compact read-only copy; [`PredictPlan`] is that copy.
 //!
 //! ## Layout
 //!
 //! Each tree is flattened **preorder** into an arena of 16-byte packed
 //! nodes — feature id, threshold, both child slots, and the leaf
 //! probability — with node addresses in a parallel side array (cold data
-//! for patching and routing only; the kernel never touches it). Preorder
-//! gives two structural invariants the whole module leans on:
-//!
-//! * a node's **left child is the next slot** (`i + 1`) — stored anyway
-//!   as `kids[0]` so a traversal step selects its successor by *indexing*
-//!   (`kids[go_right]`), never by branching on the split direction;
-//! * a **subtree occupies one contiguous range** `i..subtree_end(i)`, and
-//!   no pointer from outside that range targets its interior — which is
-//!   what makes cone splicing (below) a local operation.
+//! for the [`RoutingIndex`](crate::routing::RoutingIndex) diagnostic; the
+//! kernel never touches it). In preorder a **subtree occupies one
+//! contiguous range** of slots, and a node's **left child is the next
+//! slot** (`i + 1`) — stored anyway as `kids[0]` so a traversal step
+//! selects its successor by *indexing* (`kids[go_right]`), never by
+//! branching on the split direction.
 //!
 //! A **leaf points both children at itself**, so stepping a row that has
 //! already landed is a harmless self-loop. That makes every descent a
@@ -53,24 +50,21 @@
 //! debug builds, and `benches/predict_kernel.rs` asserts it at bench
 //! scale before comparing speed.
 //!
-//! ## Staying coherent under unlearning
+//! ## Unlearning
 //!
-//! The plan describes the forest *as compiled*. A journaled deletion
-//! invalidates only what its [`UndoJournal`] proves it touched:
-//! `InternalStats`/`Candidates` records never change the `(attr,
-//! threshold)` pair a walk consults, a `Leaf` record changes one stored
-//! probability in place, and a `Subtree` record replaces one contiguous
-//! arena cone. [`PredictPlan::patch`] therefore re-reads exactly those
-//! cones from the mutated forest, and [`PredictPlan::patch_cones`]
-//! replays the same cone set after a rollback — each patch is
-//! proportional to the edit, not to the forest. `plan.recompile` spans
-//! and the `fume.plan.{compiles,cone_patches,bytes}` counters make the
-//! compile/patch cost visible (see `docs/observability.md`).
+//! The plan describes the forest *as compiled* and is never patched: a
+//! pass over a forest that has since been unlearned, rolled back or
+//! extended compiles a fresh plan. [`DareForest::predict_proba`] does so
+//! for every pass of at least [`PLAN_FULL_PASS_MIN_ROWS`] rows and walks
+//! the pointer trees below that, so each unlearn-eval pays one compile
+//! plus one pass, or one pointer-walk pass. `plan.recompile` spans and
+//! the `fume.plan.{compiles,bytes}` counters make the compile cost
+//! visible (see `docs/observability.md`).
 
 use fume_tabular::{Classifier, Dataset};
 
 use crate::forest::DareForest;
-use crate::journal::{NodePath, UndoJournal, UndoRecord};
+use crate::journal::NodePath;
 use crate::node::Node;
 
 /// Rows per traversal block in [`PredictPlan::predict_into`]: the block's
@@ -122,13 +116,12 @@ struct PackedNode {
 }
 
 /// One tree flattened into a preorder struct-of-arrays arena.
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 pub(crate) struct TreePlan {
     /// The hot array: one packed node per slot, in preorder.
     nodes: Vec<PackedNode>,
-    /// Each slot's address in the pointer tree — cold data for
-    /// journal-driven invalidation and the routing index; the kernel
-    /// never touches it.
+    /// Each slot's address in the pointer tree — cold data for the
+    /// routing index; the kernel never touches it.
     path: Vec<NodePath>,
     /// Maximum leaf depth: the fixed step count that lands *every* row on
     /// its leaf (shallower rows self-loop for the remaining steps).
@@ -178,12 +171,6 @@ impl TreePlan {
                 self.flatten(&internal.right, path.child(true));
             }
         }
-    }
-
-    /// Whether arena slot `i` is a leaf — the self-loop test.
-    #[inline]
-    fn is_leaf(&self, i: usize) -> bool {
-        self.nodes[i].kids[0] as usize == i
     }
 
     /// Maximum leaf depth, from the recorded pointer-tree addresses.
@@ -260,73 +247,6 @@ impl TreePlan {
         self.nodes.len()
     }
 
-    /// Arena slot of the node at `path`, walking the recorded step bits.
-    /// `path` must address a node of this tree (journal paths always do:
-    /// they were recorded while descending the same structure).
-    fn locate(&self, path: NodePath) -> usize {
-        let mut i = 0usize;
-        for step in 0..path.depth() {
-            debug_assert!(!self.is_leaf(i), "plan path descends through a leaf");
-            i = self.nodes[i].kids[(path.bits() >> step & 1) as usize] as usize;
-        }
-        i
-    }
-
-    /// One past the last slot of the subtree rooted at `i`: preorder puts
-    /// a subtree in the contiguous range `i..subtree_end(i)`, and the
-    /// rightmost descent from `i` reaches its last slot (a self-looping
-    /// leaf, where the descent sticks).
-    fn subtree_end(&self, i: usize) -> usize {
-        let mut j = i;
-        while self.nodes[j].kids[1] as usize != j {
-            j = self.nodes[j].kids[1] as usize;
-        }
-        j + 1
-    }
-
-    /// Replaces the cone rooted at `root` with a fresh flattening of the
-    /// same address in `tree_root` (the live pointer tree), shifting the
-    /// child slots of every surviving node that points past the cone.
-    /// Cost is proportional to the cone plus one linear slot fixup — the
-    /// rest of the arena is untouched. The caller refreshes
-    /// [`Self::steps`] once all of a tree's cones are in (a rebuilt cone
-    /// can change the tree's depth).
-    fn splice_cone(&mut self, root: NodePath, tree_root: &Node) {
-        let i = self.locate(root);
-        let old_end = self.subtree_end(i);
-        let mut frag = TreePlan::default();
-        frag.flatten(root.locate(tree_root), root);
-        let new_end = i + frag.nodes.len();
-        // Rebase the fragment's child slots from fragment-relative to
-        // arena-absolute (this also moves leaf self-loops to their final
-        // slots — a fragment leaf at fragment slot `j` lands at `i + j`).
-        for node in &mut frag.nodes {
-            node.kids = node.kids.map(|k| node_u32(k as usize + i));
-        }
-        // Preorder guarantees no slot from outside the cone targets its
-        // interior: the only external references are the parent's child
-        // slot aimed at the cone root itself (slot `i`, unchanged) and
-        // slots at `old_end` or beyond, which shift by the cone's size
-        // delta (a surviving leaf's self-loop shifts with its own slot).
-        for (j, node) in self.nodes.iter_mut().enumerate() {
-            if j >= i && j < old_end {
-                continue; // discarded with the old cone
-            }
-            for kid in &mut node.kids {
-                let target = *kid as usize;
-                debug_assert!(
-                    target <= i || target >= old_end,
-                    "external child slot into a cone interior"
-                );
-                if target >= old_end {
-                    *kid = node_u32(target - old_end + new_end);
-                }
-            }
-        }
-        self.nodes.splice(i..old_end, frag.nodes);
-        self.path.splice(i..old_end, frag.path);
-    }
-
     fn approx_bytes(&self) -> usize {
         use std::mem::size_of;
         self.nodes.len() * (size_of::<PackedNode>() + size_of::<NodePath>())
@@ -353,11 +273,8 @@ impl TreePlan {
 /// }
 /// ```
 ///
-/// The plan describes the forest as it was at [`Self::compile`] (or last
-/// patch) time. After `delete_journaled`, call [`Self::patch`] with the
-/// journal; after the matching `rollback`, replay the returned
-/// [`PlanCones`] with [`Self::patch_cones`]. Destructive deletes and
-/// inserts have no journal — recompile after those.
+/// The plan describes the forest as it was at [`Self::compile`] time;
+/// compile again after the forest changes.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PredictPlan {
     trees: Vec<TreePlan>,
@@ -457,118 +374,6 @@ impl PredictPlan {
             start = end;
         }
     }
-
-    /// Re-reads from `forest` exactly the arena cones a journaled
-    /// deletion invalidated — edited leaves in place, rebuilt subtrees by
-    /// splice — and returns the cone set so the caller can replay it
-    /// after the matching rollback. `forest` must be the forest the
-    /// journal's deletion just mutated (e.g. the scratch forest between
-    /// `delete_journaled` and `rollback`); `journal` must come from a
-    /// forest this plan was compiled from.
-    ///
-    /// Emits a `plan.recompile` span (field `cones`) and the
-    /// `fume.plan.cone_patches` counter. Under `FUME_DEEPCHECK=1` the
-    /// patched plan is verified equal to a fresh compile.
-    ///
-    /// # Panics
-    /// If the journal's tree count disagrees with the plan's.
-    pub fn patch(&mut self, journal: &UndoJournal, forest: &DareForest) -> PlanCones {
-        assert!(
-            journal.trees.is_empty() || journal.trees.len() == self.trees.len(),
-            "journal covers {} trees but the plan covers {}",
-            journal.trees.len(),
-            self.trees.len()
-        );
-        let cones = Self::cones_of(journal);
-        self.apply_cones(&cones, forest);
-        cones
-    }
-
-    /// Replays a cone set from [`Self::patch`] against the forest's
-    /// *current* nodes — the rollback twin: `rollback(journal)` consumes
-    /// the journal, so the caller keeps the [`PlanCones`] and re-reads
-    /// the same regions once the forest is restored, returning the plan
-    /// to its pre-delete arena bit for bit.
-    pub fn patch_cones(&mut self, cones: &PlanCones, forest: &DareForest) {
-        self.apply_cones(cones, forest);
-    }
-
-    /// Derives the invalidated cone set from a journal's records:
-    /// `Subtree` roots name rebuilt cones, `Leaf` paths name in-place
-    /// probability edits (dropped when covered by a rebuilt cone — the
-    /// splice re-reads them anyway), and `InternalStats`/`Candidates`
-    /// records are ignored because in-place statistic updates never touch
-    /// the `(attr, threshold)` pair a walk consults.
-    fn cones_of(journal: &UndoJournal) -> PlanCones {
-        let mut rebuilt = Vec::with_capacity(journal.trees.len());
-        let mut edited = Vec::with_capacity(journal.trees.len());
-        for undo in &journal.trees {
-            let mut roots: Vec<NodePath> = Vec::new();
-            let mut leaves: Vec<NodePath> = Vec::new();
-            for record in &undo.records {
-                match record {
-                    UndoRecord::Subtree { path, .. } => {
-                        if !roots.contains(path) {
-                            roots.push(*path);
-                        }
-                    }
-                    UndoRecord::Leaf { path, .. } => {
-                        if !leaves.contains(path) {
-                            leaves.push(*path);
-                        }
-                    }
-                    UndoRecord::InternalStats { .. } | UndoRecord::Candidates { .. } => {}
-                }
-            }
-            // A leaf edit under a rebuilt cone no longer exists at its
-            // recorded address (the journal invariant makes this rare:
-            // a rebuild terminates the delete recursion, so records
-            // below it come only from earlier recursion branches).
-            leaves.retain(|&leaf| !roots.iter().any(|&root| leaf.descends_from(root)));
-            rebuilt.push(roots);
-            edited.push(leaves);
-        }
-        PlanCones { rebuilt, edited }
-    }
-
-    fn apply_cones(&mut self, cones: &PlanCones, forest: &DareForest) {
-        debug_assert_eq!(forest.trees().len(), self.trees.len(), "forest/plan shape");
-        let n = cones.num_cones();
-        fume_obs::counter!("fume.plan.cone_patches", n);
-        if n == 0 {
-            return;
-        }
-        let _span = fume_obs::span!("plan.recompile", cones = n);
-        for (t, plan) in self.trees.iter_mut().enumerate() {
-            let rebuilt = cones.rebuilt.get(t).map_or(&[][..], Vec::as_slice);
-            let edited = cones.edited.get(t).map_or(&[][..], Vec::as_slice);
-            if rebuilt.is_empty() && edited.is_empty() {
-                continue;
-            }
-            let tree = &forest.trees()[t];
-            for &root in rebuilt {
-                plan.splice_cone(root, tree.root());
-            }
-            if !rebuilt.is_empty() {
-                // A rebuilt cone can deepen or flatten the tree; the
-                // fixed-step kernel must cover the new maximum depth.
-                plan.steps = plan.max_depth();
-            }
-            for &leaf in edited {
-                let i = plan.locate(leaf);
-                debug_assert!(plan.is_leaf(i), "edited path addresses a leaf");
-                plan.nodes[i].proba = tree.proba_at(leaf);
-            }
-        }
-        if crate::deepcheck::enabled() {
-            let fresh: Vec<TreePlan> =
-                forest.trees().iter().map(|t| TreePlan::from_root(t.root())).collect();
-            assert!(
-                self.trees == fresh,
-                "FUME_DEEPCHECK: patched plan diverged from a fresh compile"
-            );
-        }
-    }
 }
 
 impl Classifier for PredictPlan {
@@ -579,34 +384,6 @@ impl Classifier for PredictPlan {
         let mut out = vec![0.0f64; data.num_rows()];
         self.predict_into(data, &mut out);
         out
-    }
-}
-
-/// The arena cones one journaled deletion invalidated, per tree — the
-/// replayable half of [`PredictPlan::patch`]. Rollback consumes the
-/// journal, so this is what survives to drive the post-rollback
-/// [`PredictPlan::patch_cones`] re-read.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct PlanCones {
-    /// `rebuilt[tree]`: rebuilt-subtree roots, deduplicated.
-    rebuilt: Vec<Vec<NodePath>>,
-    /// `edited[tree]`: in-place-edited leaves outside every rebuilt cone.
-    edited: Vec<Vec<NodePath>>,
-}
-
-impl PlanCones {
-    /// Whether the deletion invalidated nothing (an empty journal, or one
-    /// with only in-place statistic records).
-    pub fn is_empty(&self) -> bool {
-        self.num_cones() == 0
-    }
-
-    /// Total invalidated cones across all trees (edited leaves plus
-    /// rebuilt subtrees) — what `fume.plan.cone_patches` counts per
-    /// patch.
-    pub fn num_cones(&self) -> usize {
-        self.rebuilt.iter().map(Vec::len).sum::<usize>()
-            + self.edited.iter().map(Vec::len).sum::<usize>()
     }
 }
 
@@ -637,38 +414,52 @@ mod tests {
 
     #[test]
     fn compiled_plan_matches_the_pointer_walk_bitwise() {
-        let (_, test, forest) = setup(51);
+        let (train, test, mut forest) = setup(51);
         let plan = PredictPlan::compile(&forest);
         assert_eq!(plan.num_trees(), forest.trees().len());
         let expected: usize = forest.trees().iter().map(|t| t.root().size()).sum();
         assert_eq!(plan.num_nodes(), expected);
         assert!(plan.approx_bytes() > 0);
         assert_bitwise(&plan, &forest, &test);
+
+        // Plans compiled after a journaled delete and after its rollback
+        // carry the pointer walk's bits too, and the rolled-back forest
+        // compiles to the original arena.
+        let subset: Vec<u32> = (0..60).step_by(3).collect();
+        let journal = forest.delete_journaled(&subset, &train);
+        let unlearned = PredictPlan::compile(&forest);
+        assert_ne!(unlearned, plan, "the delete must change the arena");
+        assert_bitwise(&unlearned, &forest, &test);
+        forest.rollback(journal);
+        let restored = PredictPlan::compile(&forest);
+        assert_bitwise(&restored, &forest, &test);
+        assert_eq!(restored, plan, "rollback restores the compiled arena");
     }
 
     #[test]
     fn arena_structure_is_preorder_with_implicit_left_children() {
         let (_, test, forest) = setup(52);
         let plan = PredictPlan::compile(&forest);
-        for tree in plan.tree_plans() {
-            assert_eq!(tree.subtree_end(0), tree.len(), "root spans the arena");
+        for (tree, pointer) in plan.tree_plans().iter().zip(forest.trees()) {
+            let size = |slot: usize| tree.path[slot].locate(pointer.root()).size();
+            assert_eq!(size(0), tree.len(), "root spans the arena");
             let mut deepest = 0u32;
             for i in 0..tree.len() {
                 deepest = deepest.max(u32::from(tree.path[i].depth()));
-                if tree.is_leaf(i) {
+                if tree.nodes[i].kids[0] as usize == i {
                     assert_eq!(tree.nodes[i].kids, [i as u32; 2], "leaf self-loops");
                 } else {
                     let [l, r] = tree.nodes[i].kids.map(|k| k as usize);
                     // Left child is the next slot; the left subtree is
-                    // exactly `i+1..r`, the right subtree `r..end`.
+                    // exactly `i+1..r`, the right subtree runs from `r`
+                    // to the end of `i`'s contiguous range.
                     assert_eq!(l, i + 1);
-                    assert_eq!(tree.subtree_end(l), r);
-                    assert!(r > l && r < tree.subtree_end(i));
+                    assert_eq!(l + size(l), r);
+                    assert_eq!(r + size(r), i + size(i));
                     // The stored paths agree with the slot structure.
                     assert_eq!(tree.path[l], tree.path[i].child(false));
                     assert_eq!(tree.path[r], tree.path[i].child(true));
                 }
-                assert_eq!(tree.locate(tree.path[i]), i, "locate inverts path");
             }
             assert_eq!(tree.steps, deepest, "steps covers the deepest leaf");
         }
@@ -694,47 +485,6 @@ mod tests {
         for p in plan.predict_proba(&data) {
             assert_eq!(p.to_bits(), 0.5f64.to_bits());
         }
-    }
-
-    #[test]
-    fn patch_tracks_a_journaled_delete_and_rollback() {
-        let (train, test, mut forest) = setup(54);
-        let mut plan = PredictPlan::compile(&forest);
-        let pristine = plan.clone();
-        for subset in [vec![0u32, 1, 2], (0..60).step_by(3).collect::<Vec<u32>>()] {
-            let journal = forest.delete_journaled(&subset, &train);
-            let cones = plan.patch(&journal, &forest);
-            // The patched plan is the plan a fresh compile would build.
-            assert_eq!(plan, PredictPlan::compile(&forest));
-            assert_bitwise(&plan, &forest, &test);
-            forest.rollback(journal);
-            plan.patch_cones(&cones, &forest);
-            assert_eq!(plan, pristine, "rollback replay restores the arena");
-            assert_bitwise(&plan, &forest, &test);
-        }
-    }
-
-    #[test]
-    fn empty_journal_patches_nothing() {
-        let (train, _, mut forest) = setup(55);
-        let mut plan = PredictPlan::compile(&forest);
-        let before = plan.clone();
-        let journal = forest.delete_journaled(&[], &train);
-        let cones = plan.patch(&journal, &forest);
-        assert!(cones.is_empty());
-        assert_eq!(cones.num_cones(), 0);
-        assert_eq!(plan, before);
-    }
-
-    #[test]
-    #[should_panic(expected = "journal covers")]
-    fn journal_from_a_different_forest_shape_is_rejected() {
-        let (train, _, forest) = setup(56);
-        let mut plan = PredictPlan::compile(&forest);
-        let other_cfg = DareConfig { n_trees: 3, ..DareConfig::small(56) };
-        let mut other = DareForest::fit(&train, other_cfg);
-        let journal = other.delete_journaled(&[0, 1], &train);
-        plan.patch(&journal, &other);
     }
 
     #[test]

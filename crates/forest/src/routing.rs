@@ -1,5 +1,13 @@
 //! Per-tree routing index: which leaf does each evaluation row land in?
 //!
+//! A diagnostic, not part of any explain path: FUME measures every
+//! counterfactual model's bias with one full prediction pass (see
+//! `docs/unlearn-eval.md`). The index answers how much of that pass a
+//! journaled deletion leaves untouched, i.e. how many test rows an
+//! incremental evaluator could reuse; the `explain_e2e` benchmark's
+//! traced probe builds one per deployed model to report that reuse and
+//! its cost.
+//!
 //! FUME's unlearn-eval loop measures a fairness metric on the *same*
 //! held-out rows after every journaled deletion. A deletion only changes
 //! the prediction of a row whose root-to-leaf walk passes through a node
@@ -26,9 +34,9 @@
 //! refreshes each edited leaf with a single lookup, re-walks only the
 //! rows under rebuilt subtrees, and filters any contribution that comes
 //! out bit-identical (a pure leaf stays pure when rows are deleted from
-//! it — the common case). An evaluator then re-sums just the votes that
-//! moved against cached per-tree contributions — bitwise identical to a
-//! full prediction pass.
+//! it — the common case). Re-summing just the votes that moved against
+//! the cached per-tree contributions would reproduce a full prediction
+//! pass bitwise.
 
 use std::collections::{HashMap, HashSet};
 
@@ -41,7 +49,8 @@ use crate::plan::PredictPlan;
 /// Maps each leaf of a fixed forest to the rows of a fixed evaluation
 /// dataset cached under it (and each `(tree, row)` pair to its leaf
 /// probability), so [`Self::dirty_rows`] can name exactly which cached
-/// predictions a journaled deletion invalidated.
+/// predictions a journaled deletion invalidated — a diagnostic of how
+/// much of a full pass could be reused (see the [module docs](self)).
 ///
 /// The index describes the forest *as it was at build time*; it stays
 /// valid across `delete_journaled` → `rollback` cycles (the forest is
@@ -53,8 +62,7 @@ pub struct RoutingIndex {
     rows_by_leaf: Vec<HashMap<NodePath, Vec<u32>>>,
     /// `probas[tree * n_rows + row]`: the leaf probability `row` reaches
     /// in `tree` — the tree's exact contribution to the ensemble vote.
-    /// Tree-major, so one tree's contributions are a contiguous slice
-    /// and a trees-outer re-sum streams through cache lines.
+    /// Tree-major, so one tree's contributions are a contiguous slice.
     probas: Vec<f64>,
     n_trees: usize,
     n_rows: usize,
@@ -96,11 +104,6 @@ impl RoutingIndex {
     /// addresses and bits a pointer [`route_row`](crate::node::Node::route_row)
     /// walk produces, without the pointer chasing.
     pub fn build_with_plan(plan: &PredictPlan, data: &Dataset) -> Self {
-        let _span = fume_obs::span!(
-            "forest.routing_index.build",
-            trees = plan.num_trees(),
-            rows = data.num_rows()
-        );
         let n_rows = data.num_rows();
         let n_trees = plan.num_trees();
         let mut rows_by_leaf = Vec::with_capacity(n_trees);
@@ -135,13 +138,6 @@ impl RoutingIndex {
     #[inline]
     pub fn tree_proba(&self, tree: usize, row: usize) -> f64 {
         self.probas[tree * self.n_rows + row]
-    }
-
-    /// All of `tree`'s per-row contributions, indexed by row — one
-    /// contiguous slice per tree, for streaming re-sums.
-    #[inline]
-    pub fn tree_probas(&self, tree: usize) -> &[f64] {
-        &self.probas[tree * self.n_rows..(tree + 1) * self.n_rows]
     }
 
     /// The contributions the journaled deletion changed, with their
@@ -189,7 +185,7 @@ impl RoutingIndex {
                 continue;
             }
             let tree = &mutated.trees()[t];
-            let cached = self.tree_probas(t);
+            let cached = &self.probas[t * self.n_rows..(t + 1) * self.n_rows];
             let mut fresh: Vec<(u32, f64)> = Vec::new();
             for &path in &edited {
                 // A leaf inside a rebuilt cone no longer exists at its

@@ -52,7 +52,7 @@ impl DareTree {
 
     /// The probability at the leaf addressed by `path` — the vote of
     /// every row routed there, in the bits a full walk would produce.
-    /// Incremental evaluators use this to refresh all rows cached at a
+    /// The routing index uses this to refresh all rows cached at a
     /// journal-edited leaf with a single lookup instead of one walk per
     /// row. Panics if `path` names an internal node: callers pass leaf
     /// addresses recorded by this tree's own journal, outside any

@@ -515,15 +515,6 @@ impl Engine {
         {
             use fume_core::RemovalMethod;
             removal.warm(self.opts.workers.max(1) * self.opts.job_jobs.max(1));
-            // Pay the cold evaluation build (plan compile, routing index,
-            // base predictions) up front too, so the first request hits a
-            // fully warm engine. Requests overriding the metric still
-            // share this state — it is keyed on (test, group) only.
-            removal.prewarm_incremental(&fume_core::BiasEval {
-                metric: self.config.metric,
-                test: &self.test,
-                group: self.group,
-            });
         }
         let shared = Shared {
             engine: self,

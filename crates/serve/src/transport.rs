@@ -19,8 +19,8 @@ use fume_tabular::workers;
 
 use crate::engine::{EngineHandle, JobReply, JobSpec, Ticket};
 use crate::protocol::{
-    parse_request, render_pong, render_report, render_serve_error, render_shutdown_ack,
-    render_stats, Request,
+    parse_request, render_error, render_pong, render_report, render_serve_error,
+    render_shutdown_ack, render_stats, Request, RequestError,
 };
 
 /// Why [`serve_lines`] returned.
@@ -53,11 +53,21 @@ fn render_outcome(pending: Pending) -> String {
     }
 }
 
-/// Serves one NDJSON byte stream to completion. Returns on EOF or after
-/// acknowledging a `shutdown` request (which also starts the engine's
-/// drain). Write failures (client hung up mid-response) are swallowed:
-/// remaining tickets are still resolved so the engine can drain.
-pub fn serve_lines<R, W>(handle: EngineHandle<'_, '_>, reader: R, writer: W) -> ServeExit
+/// One raw request line without its `\n` or `\r\n` terminator — what
+/// [`BufRead::lines`] would yield, before any UTF-8 check.
+fn strip_eol(raw: &[u8]) -> &[u8] {
+    let raw = raw.strip_suffix(b"\n").unwrap_or(raw);
+    raw.strip_suffix(b"\r").unwrap_or(raw)
+}
+
+/// Serves one NDJSON byte stream to completion. Returns on EOF, on a read
+/// error, or after acknowledging a `shutdown` request (which also starts
+/// the engine's drain). Every other line gets exactly one response: a
+/// line that is not valid UTF-8 or not a valid request is answered with
+/// a typed `bad_request` error and the session goes on. Write failures
+/// (client hung up mid-response) are swallowed: remaining tickets are
+/// still resolved so the engine can drain.
+pub fn serve_lines<R, W>(handle: EngineHandle<'_, '_>, mut reader: R, writer: W) -> ServeExit
 where
     R: BufRead + Send,
     W: Write + Send,
@@ -79,17 +89,24 @@ where
         },
         move || {
             let mut exit = ServeExit::Eof;
-            for line in reader.lines() {
-                let Ok(line) = line else { break };
-                if line.trim().is_empty() {
-                    continue;
+            let mut raw = Vec::new();
+            loop {
+                raw.clear();
+                if !matches!(reader.read_until(b'\n', &mut raw), Ok(n) if n > 0) {
+                    break;
                 }
-                let pending = match parse_request(&line) {
-                    Err(e) => Pending::Immediate(crate::protocol::render_error(
-                        e.id.as_deref(),
-                        "bad_request",
-                        &e.message,
-                    )),
+                let parsed = match std::str::from_utf8(strip_eol(&raw)) {
+                    Ok(line) if line.trim().is_empty() => continue,
+                    Ok(line) => parse_request(line),
+                    Err(_) => Err(RequestError {
+                        id: None,
+                        message: "request line is not valid UTF-8".into(),
+                    }),
+                };
+                let pending = match parsed {
+                    Err(e) => {
+                        Pending::Immediate(render_error(e.id.as_deref(), "bad_request", &e.message))
+                    }
                     Ok(Request::Ping { id }) => Pending::Immediate(render_pong(&id)),
                     Ok(Request::Shutdown { id }) => {
                         let _ = tx.send(Pending::Immediate(render_shutdown_ack(&id)));
@@ -199,10 +216,11 @@ mod tests {
         .unwrap()
     }
 
-    fn run_session(input: &str) -> (ServeExit, Vec<String>) {
+    fn run_session(input: impl AsRef<[u8]>) -> (ServeExit, Vec<String>) {
         let engine = small_engine();
+        let input = input.as_ref();
         let mut out: Vec<u8> = Vec::new();
-        let exit = engine.serve(|h| serve_lines(h, input.as_bytes(), &mut out));
+        let exit = engine.serve(|h| serve_lines(h, input, &mut out));
         let lines = String::from_utf8(out)
             .unwrap()
             .lines()
@@ -281,6 +299,24 @@ mod tests {
         assert!(lines[0].contains("\"ok\":false") && lines[0].contains("\"id\":null"));
         assert!(lines[1].contains("\"ok\":false") && lines[1].contains("\"id\":\"w\""));
         assert!(lines[2].contains("\"pong\":true"));
+    }
+
+    #[test]
+    fn a_line_that_is_not_utf8_gets_a_typed_error_and_the_session_goes_on() {
+        let input: &[u8] =
+            b"{\"op\":\"ping\",\"id\":\"a\"}\n\xff\xfe not utf8\n{\"op\":\"ping\",\"id\":\"b\"}\n";
+        let (exit, lines) = run_session(input);
+        assert_eq!(exit, ServeExit::Eof);
+        assert_eq!(lines.len(), 3, "{lines:?}");
+        assert!(lines[0].contains("\"pong\":true") && lines[0].contains("\"id\":\"a\""));
+        assert!(
+            lines[1].contains("\"ok\":false")
+                && lines[1].contains("\"id\":null")
+                && lines[1].contains("\"kind\":\"bad_request\""),
+            "{}",
+            lines[1]
+        );
+        assert!(lines[2].contains("\"pong\":true") && lines[2].contains("\"id\":\"b\""));
     }
 
     #[cfg(unix)]

@@ -55,16 +55,6 @@ if ! awk -v s="$speedup" 'BEGIN { exit !(s >= 1.0) }'; then
     exit 1
 fi
 echo "    pooled path ${speedup}x over clone-per-eval"
-incr_speedup=$(sed -n 's/.*"incr_speedup":\([0-9.]*\).*/\1/p' BENCH_unlearn_eval.json)
-if [ -z "$incr_speedup" ]; then
-    echo "could not read incr_speedup from BENCH_unlearn_eval.json" >&2
-    exit 1
-fi
-if ! awk -v s="$incr_speedup" 'BEGIN { exit !(s >= 1.0) }'; then
-    echo "incremental (dirty-row) eval path slower than pooled full recompute (incr_speedup ${incr_speedup}x)" >&2
-    exit 1
-fi
-echo "    incremental path ${incr_speedup}x over pooled full recompute"
 
 echo "==> bench smoke: flattened prediction plan vs pointer walk"
 # The bench itself asserts full-vector bitwise equality before timing, so
@@ -104,16 +94,6 @@ echo "==> checkpoint/fault tests under FUME_DEEPCHECK=1 (runtime audits on)"
 FUME_DEEPCHECK=1 cargo test -q --offline --test checkpoint_resume
 FUME_DEEPCHECK=1 cargo test -q --offline -p fume-core checkpoint
 FUME_DEEPCHECK=1 cargo test -q --offline -p fume-obs fault
-
-echo "==> incremental-vs-full differential battery under FUME_DEEPCHECK=1"
-# Every incremental bias answer is cross-checked bitwise against a full
-# recompute inside the removal method, per call.
-FUME_DEEPCHECK=1 cargo test -q --offline --test incremental_eval
-
-echo "==> plan-churn property test under FUME_DEEPCHECK=1"
-# Every cone patch additionally cross-checks the arena against a fresh
-# compile, and every full pass cross-checks against the pointer walk.
-FUME_DEEPCHECK=1 cargo test -q --offline -p fume-forest --test plan_churn
 
 echo "==> forest fingerprints and unlearning exactness under FUME_DEEPCHECK=1"
 # The golden test pins the serialized bytes of fitted, unlearned,

@@ -71,10 +71,6 @@ const SITUATIONAL: &[(&str, &str)] = &[
     // Only when a level contains two subsets with identical row sets;
     // the planted toy lattice has none.
     ("fume.unlearn_evals.deduped", "counter"),
-    // Only when the incremental bias evaluator's cached state doesn't
-    // match the request (different test set/group) and it recomputes in
-    // full; the battery's requests all share one test set.
-    ("fume.incr.full_fallbacks", "counter"),
     // Only when a serve job fails or panics; the battery's jobs succeed.
     ("fume.serve.jobs_failed", "counter"),
     // Only when the serve queue overflows; the battery submits serially.
@@ -138,16 +134,11 @@ fn emitted_names_match_the_documented_vocabulary() {
     forest.insert(&wave, &train).unwrap();
     let _ = std::fs::remove_dir_all(&dir);
 
-    // A compiled prediction plan tracking a journaled delete/rollback
-    // pair: `plan.recompile` + `fume.plan.{compiles,bytes}`, a blocked
-    // full pass (`plan.predict_block`), and cone patching on both the
-    // delete and the rollback replay (`fume.plan.cone_patches`).
-    let mut plan = fume::forest::PredictPlan::compile(&forest);
+    // A compiled prediction plan: `plan.recompile` +
+    // `fume.plan.{compiles,bytes}` and a blocked full pass
+    // (`plan.predict_block`).
+    let plan = fume::forest::PredictPlan::compile(&forest);
     let _ = plan.predict_proba(&test);
-    let journal = forest.delete_journaled(&wave, &train);
-    let cones = plan.patch(&journal, &forest);
-    forest.rollback(journal);
-    plan.patch_cones(&cones, &forest);
 
     // A short serve session: two identical explain jobs, so the second is
     // answered entirely by the cross-request cache (`fume.serve.cache.hits`)

@@ -85,23 +85,30 @@ fn concurrent_clients_are_byte_identical_to_serial() {
     }
 }
 
-/// The engine answers every bias query through the shared warm pool's
-/// *incremental* path (journal-driven dirty-row reuse behind
-/// `RemovalSpec::Shared`). Its canonical report must be byte-identical
-/// to a one-shot run forced onto the clone-per-eval removal method,
-/// which recomputes every bias with a full prediction pass.
+/// The engine answers every bias query through its shared warm scratch
+/// pool (`DareRemoval` behind `RemovalSpec::Shared`). Its canonical
+/// report must be byte-identical to a one-shot run of the same forest
+/// lent the clone-per-eval `DareCloneRemoval`, which deletes into a
+/// fresh clone of the deployed forest for every eval.
 #[test]
 fn engine_reports_are_byte_identical_to_the_full_recompute_path() {
     let _g = serial();
-    use fume::core::{ExplainRequest, Fume, RemovalSpec};
+    use fume::core::{DareCloneRemoval, ExplainRequest, Fume, RemovalSpec};
+    use fume::forest::DareForest;
 
     let (data, group) = planted_toy().generate_scaled(0.6, 7).unwrap();
     let (train, test) = train_test_split(&data, 0.3, 7).unwrap();
     let config = FumeConfig::default()
         .with_forest(DareConfig::small(7))
         .with_support(SupportRange::new(0.02, 0.30).unwrap());
+    let forest = DareForest::fit(&train, config.forest.clone());
+    let clone = DareCloneRemoval::new(&forest, &train);
     let baseline = Fume::new(config)
-        .run(&ExplainRequest::new(&train, &test, group).with_removal(RemovalSpec::DareClone))
+        .run(
+            &ExplainRequest::new(&train, &test, group)
+                .with_model(&forest)
+                .with_removal(RemovalSpec::Shared(&clone)),
+        )
         .unwrap()
         .to_json();
 
@@ -110,7 +117,7 @@ fn engine_reports_are_byte_identical_to_the_full_recompute_path() {
     let got = engine(2).serve(|h| {
         report_json(h.explain(ExplainOverrides::default()).unwrap().wait().unwrap())
     });
-    assert_eq!(got, baseline, "incremental engine report diverged from full recompute");
+    assert_eq!(got, baseline, "pooled engine report diverged from the clone-per-eval path");
 }
 
 #[test]
