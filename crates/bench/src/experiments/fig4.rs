@@ -2,7 +2,7 @@
 //! parity reduction of the top-5 per dataset × support range
 //! ({0–5 %, 5–15 %, ≥30 %}).
 
-use fume_core::{ExplainRequest, Fume};
+use fume_core::{ExplainRequest, Fume, FumeConfig};
 use fume_lattice::SupportRange;
 use fume_tabular::datasets::all_paper_datasets;
 
@@ -36,10 +36,11 @@ pub fn bars(scale: RunScale) -> Vec<Bar> {
         let p = Prepared::new(&ds, scale, SEED);
         let forest = p.fit();
         for (label, range) in ranges {
-            let fume = Fume::builder()
-                .support(range)
-                .forest(p.forest_cfg.clone())
-                .build();
+            let fume = Fume::new(
+                FumeConfig::default()
+                    .with_support(range)
+                    .with_forest(p.forest_cfg.clone()),
+            );
             let (avg, max, found) =
                 match fume.run(&ExplainRequest::new(&p.train, &p.test, p.group).with_model(&forest)) {
                     Ok(report) if !report.top_k.is_empty() => {
@@ -93,10 +94,11 @@ mod tests {
     fn german_medium_range_finds_subsets() {
         let scale = RunScale::quick();
         let p = Prepared::new(&german_credit(), scale, SEED);
-        let fume = Fume::builder()
-            .support(SupportRange::medium())
-            .forest(p.forest_cfg.clone())
-            .build();
+        let fume = Fume::new(
+            FumeConfig::default()
+                .with_support(SupportRange::medium())
+                .with_forest(p.forest_cfg.clone()),
+        );
         let report = fume.run(&ExplainRequest::new(&p.train, &p.test, p.group)).unwrap();
         assert!(!report.top_k.is_empty());
     }

@@ -4,7 +4,7 @@
 
 use std::time::Instant;
 
-use fume_core::{ExplainRequest, Fume};
+use fume_core::{ExplainRequest, Fume, FumeConfig};
 use fume_tabular::datasets::{synthetic, SyntheticConfig};
 use fume_tabular::split::train_test_split;
 
@@ -33,7 +33,7 @@ fn measure(instances: usize, attributes: usize, values: usize, scale: RunScale) 
     let (data, group) =
         fume_tabular::generator::generate(&ds.spec, instances, SEED).expect("valid spec");
     let (train, test) = train_test_split(&data, 0.3, SEED).expect("non-empty");
-    let fume = Fume::builder().forest(scale.forest(SEED)).build();
+    let fume = Fume::new(FumeConfig::default().with_forest(scale.forest(SEED)));
     let t0 = Instant::now();
     let _ = fume.run(&ExplainRequest::new(&train, &test, group));
     Sample { instances, attributes, values, seconds: t0.elapsed().as_secs_f64() }

@@ -6,7 +6,7 @@
 //! responsible cohort lets you fix the violation with a fraction of the
 //! intervention.
 
-use fume_core::{drop_unpriv_unfavor, ExplainRequest, Fume};
+use fume_core::{drop_unpriv_unfavor, ExplainRequest, Fume, FumeConfig};
 use fume_fairness::{
     fit_group_thresholds, massage, predict_with_thresholds, FairnessMetric, GroupConfusion,
 };
@@ -48,7 +48,7 @@ pub fn outcomes(scale: RunScale) -> (f64, f64, Vec<Outcome>) {
     let mut out = Vec::new();
 
     // --- FUME: remove the single most attributable subset ---
-    let fume = Fume::builder().forest(p.forest_cfg.clone()).build();
+    let fume = Fume::new(FumeConfig::default().with_forest(p.forest_cfg.clone()));
     if let Ok(report) = fume.run(&ExplainRequest::new(&p.train, &p.test, p.group).with_model(&forest)) {
         if let Some(top) = report.top_k.first() {
             let (cleaned, _) = fume_core::apply_removal(&forest, &p.train, &top.rows);

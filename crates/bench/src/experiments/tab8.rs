@@ -4,7 +4,7 @@
 
 use std::time::Instant;
 
-use fume_core::{ExplainRequest, Fume};
+use fume_core::{ExplainRequest, Fume, FumeConfig};
 use fume_tabular::datasets::all_paper_datasets;
 
 use crate::common::{Prepared, SEED};
@@ -29,7 +29,7 @@ pub fn rows(scale: RunScale) -> Vec<Row> {
         .iter()
         .map(|ds| {
             let p = Prepared::new(ds, scale, SEED);
-            let fume = Fume::builder().forest(p.forest_cfg.clone()).build();
+            let fume = Fume::new(FumeConfig::default().with_forest(p.forest_cfg.clone()));
             let t0 = Instant::now();
             let report = fume.run(&ExplainRequest::new(&p.train, &p.test, p.group));
             let seconds = t0.elapsed().as_secs_f64();
@@ -85,7 +85,7 @@ mod tests {
     fn single_dataset_row_is_measured() {
         let scale = RunScale::quick();
         let p = Prepared::new(&german_credit(), scale, SEED);
-        let fume = Fume::builder().forest(p.forest_cfg.clone()).build();
+        let fume = Fume::new(FumeConfig::default().with_forest(p.forest_cfg.clone()));
         let t0 = Instant::now();
         let _ = fume.run(&ExplainRequest::new(&p.train, &p.test, p.group));
         assert!(t0.elapsed().as_secs_f64() > 0.0);

@@ -3,7 +3,7 @@
 //! the pruned percentage. Also runs the rule-4/5 ablation the design
 //! document calls out.
 
-use fume_core::{ExplainRequest, Fume};
+use fume_core::{ExplainRequest, Fume, FumeConfig};
 use fume_lattice::RuleToggles;
 use fume_tabular::datasets::german_credit;
 
@@ -39,10 +39,9 @@ pub fn run(scale: RunScale) -> String {
     let p = Prepared::new(&german_credit(), scale, SEED);
     let forest = p.fit();
 
-    let base_cfg = Fume::builder()
-        .max_literals(4)
-        .forest(p.forest_cfg.clone())
-        .into_config();
+    let base_cfg = FumeConfig::default()
+        .with_max_literals(4)
+        .with_forest(p.forest_cfg.clone());
 
     let mut out = String::from("## Table 9: Effect of pruning on subset exploration (German, eta = 4)\n\n");
 
@@ -90,11 +89,10 @@ mod tests {
         // Small, fast variant of the ablation with eta = 3.
         let p = Prepared::new(&german_credit(), RunScale::quick(), SEED);
         let forest = p.fit();
-        let cfg = Fume::builder()
-            .max_literals(3)
-            .support(SupportRange::new(0.05, 0.25).unwrap())
-            .forest(p.forest_cfg.clone())
-            .into_config();
+        let cfg = FumeConfig::default()
+            .with_max_literals(3)
+            .with_support(SupportRange::new(0.05, 0.25).unwrap())
+            .with_forest(p.forest_cfg.clone());
         let on = Fume::new(cfg.clone())
             .run(&ExplainRequest::new(&p.train, &p.test, p.group).with_model(&forest))
             .unwrap();

@@ -2,7 +2,7 @@
 //! parity, 5–15 % support), with the DropUnprivUnfavor baseline line the
 //! paper reports alongside each table.
 
-use fume_core::{drop_unpriv_unfavor, ExplainRequest, Fume};
+use fume_core::{drop_unpriv_unfavor, ExplainRequest, Fume, FumeConfig};
 use fume_fairness::FairnessMetric;
 use fume_lattice::SupportRange;
 use fume_tabular::datasets::{
@@ -55,12 +55,13 @@ impl TopKTable {
 pub fn run(table: TopKTable, scale: RunScale) -> String {
     let ds = table.dataset();
     let p = Prepared::new(&ds, scale, SEED);
-    let fume = Fume::builder()
-        .metric(FairnessMetric::StatisticalParity)
-        .support(SupportRange::medium())
-        .top_k(5)
-        .forest(p.forest_cfg.clone())
-        .build();
+    let fume = Fume::new(
+        FumeConfig::default()
+            .with_metric(FairnessMetric::StatisticalParity)
+            .with_support(SupportRange::medium())
+            .with_top_k(5)
+            .with_forest(p.forest_cfg.clone()),
+    );
     let report = match fume.run(&ExplainRequest::new(&p.train, &p.test, p.group)) {
         Ok(r) => r,
         Err(e) => return format!("## Table {}: {} — {e}\n", table.number(), p.name),

@@ -34,6 +34,8 @@ use std::path::{Path, PathBuf};
 use fume_forest::persist::{self, PersistError};
 use fume_forest::DareForest;
 use fume_lattice::{EvaluatedSubset, LatticeNode, LevelStats, Literal, Op, Predicate, SearchState};
+use fume_obs::hash::Fnv1a;
+use fume_tabular::bytes::{Buf, BufMut};
 use fume_tabular::cast::{code_u16, row_u32};
 use fume_tabular::{Dataset, GroupSpec};
 
@@ -115,100 +117,6 @@ pub struct Checkpoint {
     pub fingerprint: u64,
     /// The search state at the last completed level boundary.
     pub state: SearchState,
-}
-
-// ---------------------------------------------------------------------
-// byte cursors (the persist.rs idiom, kept private per format)
-// ---------------------------------------------------------------------
-
-trait BufMut {
-    fn put_u8(&mut self, v: u8);
-    fn put_u16_le(&mut self, v: u16);
-    fn put_u32_le(&mut self, v: u32);
-    fn put_u64_le(&mut self, v: u64);
-    fn put_f64_le(&mut self, v: f64);
-    fn put_slice(&mut self, v: &[u8]);
-}
-
-impl BufMut for Vec<u8> {
-    #[inline]
-    fn put_u8(&mut self, v: u8) {
-        self.push(v);
-    }
-    #[inline]
-    fn put_u16_le(&mut self, v: u16) {
-        self.extend_from_slice(&v.to_le_bytes());
-    }
-    #[inline]
-    fn put_u32_le(&mut self, v: u32) {
-        self.extend_from_slice(&v.to_le_bytes());
-    }
-    #[inline]
-    fn put_u64_le(&mut self, v: u64) {
-        self.extend_from_slice(&v.to_le_bytes());
-    }
-    #[inline]
-    fn put_f64_le(&mut self, v: f64) {
-        self.extend_from_slice(&v.to_bits().to_le_bytes());
-    }
-    #[inline]
-    fn put_slice(&mut self, v: &[u8]) {
-        self.extend_from_slice(v);
-    }
-}
-
-trait Buf {
-    fn remaining(&self) -> usize;
-    fn get_u8(&mut self) -> u8;
-    fn get_u16_le(&mut self) -> u16;
-    fn get_u32_le(&mut self) -> u32;
-    fn get_u64_le(&mut self) -> u64;
-    fn get_f64_le(&mut self) -> f64;
-    fn copy_to_slice(&mut self, dst: &mut [u8]);
-}
-
-impl Buf for &[u8] {
-    #[inline]
-    fn remaining(&self) -> usize {
-        self.len()
-    }
-    #[inline]
-    fn get_u8(&mut self) -> u8 {
-        let v = self[0];
-        *self = &self[1..];
-        v
-    }
-    #[inline]
-    fn get_u16_le(&mut self) -> u16 {
-        let (head, rest) = self.split_at(2);
-        *self = rest;
-        // fume-lint: allow(F001) -- split_at(2) always yields a 2-byte head; the conversion cannot fail
-        u16::from_le_bytes(head.try_into().expect("split_at(2)"))
-    }
-    #[inline]
-    fn get_u32_le(&mut self) -> u32 {
-        let (head, rest) = self.split_at(4);
-        *self = rest;
-        // fume-lint: allow(F001) -- split_at(4) always yields a 4-byte head; the conversion cannot fail
-        u32::from_le_bytes(head.try_into().expect("split_at(4)"))
-    }
-    #[inline]
-    fn get_u64_le(&mut self) -> u64 {
-        let (head, rest) = self.split_at(8);
-        *self = rest;
-        // fume-lint: allow(F001) -- split_at(8) always yields an 8-byte head; the conversion cannot fail
-        u64::from_le_bytes(head.try_into().expect("split_at(8)"))
-    }
-    #[inline]
-    fn get_f64_le(&mut self) -> f64 {
-        f64::from_bits(self.get_u64_le())
-    }
-    #[inline]
-    fn copy_to_slice(&mut self, dst: &mut [u8]) {
-        let (head, rest) = self.split_at(dst.len());
-        dst.copy_from_slice(head);
-        *self = rest;
-    }
 }
 
 fn need(buf: &&[u8], n: usize, what: &'static str) -> Result<(), CheckpointError> {
@@ -555,44 +463,26 @@ fn decode_state(buf: &mut &[u8]) -> Result<SearchState, CheckpointError> {
 // fingerprint
 // ---------------------------------------------------------------------
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Self {
-        Self(FNV_OFFSET)
-    }
-    fn u64(&mut self, v: u64) {
-        for b in v.to_le_bytes() {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(FNV_PRIME);
-        }
-    }
-    fn dataset(&mut self, data: &Dataset) {
-        self.u64(data.num_rows() as u64);
-        self.u64(data.num_attributes() as u64);
-        for attr in 0..data.num_attributes() {
-            for &code in data.column(attr) {
-                self.u64(u64::from(code));
-            }
-        }
-        for &label in data.labels() {
-            self.u64(u64::from(label));
-        }
-    }
-}
-
 /// A content fingerprint of the explain inputs. Resuming validates it so
 /// a checkpoint is never silently continued against different data.
 pub fn fingerprint(train: &Dataset, test: &Dataset, group: GroupSpec) -> u64 {
-    let mut h = Fnv::new();
-    h.dataset(train);
-    h.dataset(test);
-    h.u64(group.attr as u64);
-    h.u64(u64::from(group.privileged_code));
-    h.0
+    let mut h = Fnv1a::new();
+    let mut put = |v: u64| h.write(&v.to_le_bytes());
+    for data in [train, test] {
+        put(data.num_rows() as u64);
+        put(data.num_attributes() as u64);
+        for attr in 0..data.num_attributes() {
+            for &code in data.column(attr) {
+                put(u64::from(code));
+            }
+        }
+        for &label in data.labels() {
+            put(u64::from(label));
+        }
+    }
+    put(group.attr as u64);
+    put(u64::from(group.privileged_code));
+    h.finish()
 }
 
 // ---------------------------------------------------------------------
@@ -877,6 +767,15 @@ mod tests {
         assert_ne!(fingerprint(&a, &b, group), fingerprint(&a, &c, group));
         let other = GroupSpec { attr: group.attr, privileged_code: group.privileged_code ^ 1 };
         assert_ne!(fingerprint(&a, &b, group), fingerprint(&a, &b, other));
+    }
+
+    /// Every `search.ckpt` stores this value and resume compares it, so
+    /// it must not move when the hashing code does.
+    #[test]
+    fn fingerprint_value_is_pinned() {
+        let (a, group) = planted_toy().generate_scaled(0.2, 7).unwrap();
+        let (c, _) = planted_toy().generate_scaled(0.2, 8).unwrap();
+        assert_eq!(fingerprint(&a, &c, group), 0x0ff2_900d_4744_cf8d);
     }
 
     #[test]

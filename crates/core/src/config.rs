@@ -148,4 +148,11 @@ mod tests {
         let bad = FumeConfig::default().with_max_literals(0);
         assert!(bad.search_params().is_err());
     }
+
+    #[test]
+    fn literal_gen_with_ranges_enables_redundancy_pruning() {
+        let cfg = FumeConfig::default().with_literal_gen(LiteralGen::WithRanges);
+        assert_eq!(cfg.literal_gen, LiteralGen::WithRanges);
+        assert!(cfg.toggles.prune_redundant);
+    }
 }

@@ -12,9 +12,9 @@
 //! exponential predicate space is navigated by the apriori-style
 //! [lattice search](fume_lattice) with the paper's five pruning rules.
 //!
-//! Entry point: build a [`Fume`](algorithm::Fume) (fluently via
-//! [`Fume::builder`](algorithm::Fume::builder), or [`Fume::new`] with an
-//! explicit [`FumeConfig`]) and execute an [`ExplainRequest`] with
+//! Entry point: build a [`Fume`](algorithm::Fume) with [`Fume::new`]
+//! from a [`FumeConfig`] (its `with_*` setters start from the paper's
+//! defaults) and execute an [`ExplainRequest`] with
 //! [`Fume::run`](algorithm::Fume::run). Most users want
 //! `use fume_core::prelude::*;`.
 
@@ -23,7 +23,6 @@
 pub mod algorithm;
 pub mod attribution;
 pub mod baseline;
-pub mod builder;
 pub mod checkpoint;
 pub mod config;
 pub mod instance_attribution;
@@ -38,7 +37,6 @@ pub use algorithm::{apply_removal, ExplainedSubset, Fume, FumeError, FumeReport}
 pub use attribution::{parity_reduction, phi, AttributionEstimator, EvalMemo};
 pub use checkpoint::{Checkpoint, CheckpointError};
 pub use baseline::{drop_unpriv_unfavor, BaselineResult};
-pub use builder::FumeBuilder;
 pub use config::FumeConfig;
 pub use instance_attribution::{overlap_with_subset, rank_instances, InstanceAttribution};
 pub use path_mining::{mine_unfair_paths, MinedPattern};
@@ -56,13 +54,12 @@ pub use slice_finder::{find_slices, Slice};
 ///
 /// ```
 /// use fume_core::prelude::*;
-/// let fume = Fume::builder().forest(DareConfig::small(1)).build();
+/// let fume = Fume::new(FumeConfig::default().with_forest(DareConfig::small(1)));
 /// assert_eq!(fume.config().top_k, 5);
 /// ```
 pub mod prelude {
     pub use crate::algorithm::{Fume, FumeError, FumeReport};
     pub use crate::attribution::{AttributionEstimator, EvalMemo};
-    pub use crate::builder::FumeBuilder;
     pub use crate::config::FumeConfig;
     pub use crate::removal::{
         BiasEval, DareCloneRemoval, DareRemoval, GbdtRetrainRemoval, RemovalDyn,

@@ -80,7 +80,7 @@ impl std::fmt::Debug for RemovalSpec<'_> {
 /// [`Fume::run`](crate::Fume::run).
 ///
 /// ```
-/// use fume_core::{ExplainRequest, Fume};
+/// use fume_core::{ExplainRequest, Fume, FumeConfig};
 /// use fume_forest::DareConfig;
 /// use fume_lattice::SupportRange;
 /// use fume_tabular::datasets::planted_toy;
@@ -88,10 +88,11 @@ impl std::fmt::Debug for RemovalSpec<'_> {
 ///
 /// let (data, group) = planted_toy().generate_scaled(0.5, 3).unwrap();
 /// let (train, test) = train_test_split(&data, 0.3, 3).unwrap();
-/// let fume = Fume::builder()
-///     .forest(DareConfig::small(3))
-///     .support(SupportRange::new(0.02, 0.25).unwrap())
-///     .build();
+/// let fume = Fume::new(
+///     FumeConfig::default()
+///         .with_forest(DareConfig::small(3))
+///         .with_support(SupportRange::new(0.02, 0.25).unwrap()),
+/// );
 /// let report = fume.run(&ExplainRequest::new(&train, &test, group)).unwrap();
 /// assert!(!report.top_k.is_empty());
 /// ```

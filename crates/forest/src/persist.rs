@@ -16,6 +16,7 @@
 
 use std::path::Path;
 
+use fume_tabular::bytes::{Buf, BufMut};
 use fume_tabular::cast::{code_u16, row_u32};
 
 use crate::config::{DareConfig, MaxFeatures};
@@ -59,95 +60,6 @@ impl std::error::Error for PersistError {}
 impl From<std::io::Error> for PersistError {
     fn from(e: std::io::Error) -> Self {
         Self::Io(e.to_string())
-    }
-}
-
-/// Little-endian write cursor: the `bytes::BufMut` subset this format
-/// uses, implemented directly on `Vec<u8>` so the crate stays
-/// dependency-free.
-trait BufMut {
-    fn put_u8(&mut self, v: u8);
-    fn put_u16_le(&mut self, v: u16);
-    fn put_u32_le(&mut self, v: u32);
-    fn put_u64_le(&mut self, v: u64);
-    fn put_slice(&mut self, v: &[u8]);
-}
-
-impl BufMut for Vec<u8> {
-    #[inline]
-    fn put_u8(&mut self, v: u8) {
-        self.push(v);
-    }
-    #[inline]
-    fn put_u16_le(&mut self, v: u16) {
-        self.extend_from_slice(&v.to_le_bytes());
-    }
-    #[inline]
-    fn put_u32_le(&mut self, v: u32) {
-        self.extend_from_slice(&v.to_le_bytes());
-    }
-    #[inline]
-    fn put_u64_le(&mut self, v: u64) {
-        self.extend_from_slice(&v.to_le_bytes());
-    }
-    #[inline]
-    fn put_slice(&mut self, v: &[u8]) {
-        self.extend_from_slice(v);
-    }
-}
-
-/// Read cursor over a byte slice, advancing the slice in place. Getters
-/// assume length was already checked via [`need`] — exactly the
-/// discipline the decoder follows (`bytes` would panic identically).
-trait Buf {
-    fn remaining(&self) -> usize;
-    fn has_remaining(&self) -> bool {
-        self.remaining() > 0
-    }
-    fn get_u8(&mut self) -> u8;
-    fn get_u16_le(&mut self) -> u16;
-    fn get_u32_le(&mut self) -> u32;
-    fn get_u64_le(&mut self) -> u64;
-    fn copy_to_slice(&mut self, dst: &mut [u8]);
-}
-
-impl Buf for &[u8] {
-    #[inline]
-    fn remaining(&self) -> usize {
-        self.len()
-    }
-    #[inline]
-    fn get_u8(&mut self) -> u8 {
-        let v = self[0];
-        *self = &self[1..];
-        v
-    }
-    #[inline]
-    fn get_u16_le(&mut self) -> u16 {
-        let (head, rest) = self.split_at(2);
-        *self = rest;
-        // fume-lint: allow(F001) -- split_at(2) always yields a 2-byte head; the conversion cannot fail
-        u16::from_le_bytes(head.try_into().expect("split_at(2)"))
-    }
-    #[inline]
-    fn get_u32_le(&mut self) -> u32 {
-        let (head, rest) = self.split_at(4);
-        *self = rest;
-        // fume-lint: allow(F001) -- split_at(4) always yields a 4-byte head; the conversion cannot fail
-        u32::from_le_bytes(head.try_into().expect("split_at(4)"))
-    }
-    #[inline]
-    fn get_u64_le(&mut self) -> u64 {
-        let (head, rest) = self.split_at(8);
-        *self = rest;
-        // fume-lint: allow(F001) -- split_at(8) always yields an 8-byte head; the conversion cannot fail
-        u64::from_le_bytes(head.try_into().expect("split_at(8)"))
-    }
-    #[inline]
-    fn copy_to_slice(&mut self, dst: &mut [u8]) {
-        let (head, rest) = self.split_at(dst.len());
-        dst.copy_from_slice(head);
-        *self = rest;
     }
 }
 

@@ -24,6 +24,7 @@
 
 pub mod clock;
 pub mod fault;
+pub mod hash;
 pub mod hist;
 pub mod json;
 pub mod progress;

@@ -129,22 +129,11 @@ pub fn tracking_enabled() -> bool {
 // The lock-order graph
 // ---------------------------------------------------------------------------
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
 /// FNV-1a over a site name — the graph's node key, computable in const
 /// context so site identity costs nothing at runtime.
 #[must_use]
 pub const fn site_key(name: &str) -> u64 {
-    let bytes = name.as_bytes();
-    let mut h = FNV_OFFSET;
-    let mut i = 0;
-    while i < bytes.len() {
-        h ^= bytes[i] as u64;
-        h = h.wrapping_mul(FNV_PRIME);
-        i += 1;
-    }
-    h
+    crate::hash::fnv1a(name.as_bytes())
 }
 
 /// One detected lock-order inversion: acquiring `to` while holding
@@ -588,7 +577,7 @@ mod tests {
     #[test]
     fn site_key_is_fnv1a() {
         // Independent reference: FNV-1a of "a" is well known.
-        assert_eq!(site_key(""), FNV_OFFSET);
+        assert_eq!(site_key(""), crate::hash::Fnv1a::new().finish());
         assert_eq!(site_key("a"), 0xaf63_dc4c_8601_ec8c);
         assert_ne!(site_key("sync.a"), site_key("sync.b"));
     }

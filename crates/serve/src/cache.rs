@@ -38,12 +38,7 @@ pub fn rho_scope(dataset_fingerprint: u64, metric: FairnessMetric, forest: &Dare
     bytes.extend_from_slice(&dataset_fingerprint.to_le_bytes());
     bytes.extend_from_slice(metric_tag(metric).as_bytes());
     fume_forest::persist::encode_config_into(&mut bytes, forest);
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    fume_obs::hash::fnv1a(&bytes)
 }
 
 #[derive(Debug, Hash, PartialEq, Eq)]

@@ -56,4 +56,4 @@ pub use engine::{
     JobSpec, ServeError, Ticket,
 };
 pub use protocol::{Request, RequestError, PROTOCOL_SCHEMA};
-pub use transport::{serve_lines, ServeExit};
+pub use transport::{serve_lines, ServeExit, MAX_REQUEST_LINE_BYTES};

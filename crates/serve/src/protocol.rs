@@ -90,7 +90,11 @@ fn bad(id: Option<String>, message: impl Into<String>) -> RequestError {
     RequestError { id, message: message.into() }
 }
 
-fn parse_metric(tag: &str) -> Option<FairnessMetric> {
+/// Parses a metric tag: a CLI shorthand (`sp`, `eo`, `pp`) or a
+/// report-schema tag ([`metric_tag`](fume_core::report_json::metric_tag)).
+/// `fume-cli` and `fume-serve` parse `--metric` with it too, so the flag
+/// and the wire accept one tag set.
+pub fn parse_metric(tag: &str) -> Option<FairnessMetric> {
     match tag {
         "sp" => Some(FairnessMetric::StatisticalParity),
         "eo" => Some(FairnessMetric::EqualizedOdds),

@@ -10,7 +10,7 @@
 //! come back in request order**, even though jobs execute concurrently
 //! on the engine's worker pool.
 
-use std::io::{BufRead, Write};
+use std::io::{BufRead, Read, Write};
 use std::sync::mpsc;
 
 use fume_obs::clock::Stopwatch;
@@ -22,6 +22,12 @@ use crate::protocol::{
     parse_request, render_error, render_pong, render_report, render_serve_error,
     render_shutdown_ack, render_stats, Request, RequestError,
 };
+
+/// The longest request line [`serve_lines`] reads, not counting its
+/// `\n`. The largest valid request is a few hundred bytes; a longer line
+/// is answered with a typed `request_too_large` error and the rest of it
+/// is skipped unread, so one client cannot grow the server's memory.
+pub const MAX_REQUEST_LINE_BYTES: usize = 64 * 1024;
 
 /// Why [`serve_lines`] returned.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -62,11 +68,13 @@ fn strip_eol(raw: &[u8]) -> &[u8] {
 
 /// Serves one NDJSON byte stream to completion. Returns on EOF, on a read
 /// error, or after acknowledging a `shutdown` request (which also starts
-/// the engine's drain). Every other line gets exactly one response: a
-/// line that is not valid UTF-8 or not a valid request is answered with
-/// a typed `bad_request` error and the session goes on. Write failures
-/// (client hung up mid-response) are swallowed: remaining tickets are
-/// still resolved so the engine can drain.
+/// the engine's drain). Every other line gets exactly one response, and
+/// the session goes on after a bad one: a line longer than
+/// [`MAX_REQUEST_LINE_BYTES`] is answered with a typed `request_too_large`
+/// error, one that is not valid UTF-8 or not a valid request with a
+/// typed `bad_request` error. Write failures (client hung up
+/// mid-response) are swallowed: remaining tickets are still resolved so
+/// the engine can drain.
 pub fn serve_lines<R, W>(handle: EngineHandle<'_, '_>, mut reader: R, writer: W) -> ServeExit
 where
     R: BufRead + Send,
@@ -92,8 +100,22 @@ where
             let mut raw = Vec::new();
             loop {
                 raw.clear();
-                if !matches!(reader.read_until(b'\n', &mut raw), Ok(n) if n > 0) {
+                // One byte past the cap tells a line of exactly the cap
+                // from a longer one.
+                let mut line = reader.by_ref().take(MAX_REQUEST_LINE_BYTES as u64 + 1);
+                if !matches!(line.read_until(b'\n', &mut raw), Ok(n) if n > 0) {
                     break;
+                }
+                if raw.len() > MAX_REQUEST_LINE_BYTES && !raw.ends_with(b"\n") {
+                    // Skip the rest of the line without buffering it; a
+                    // read error here ends the session at the next read.
+                    let _ = reader.skip_until(b'\n');
+                    let message = format!("request line longer than {MAX_REQUEST_LINE_BYTES} bytes");
+                    let error = render_error(None, "request_too_large", &message);
+                    if tx.send(Pending::Immediate(error)).is_err() {
+                        break;
+                    }
+                    continue;
                 }
                 let parsed = match std::str::from_utf8(strip_eol(&raw)) {
                     Ok(line) if line.trim().is_empty() => continue,
@@ -317,6 +339,32 @@ mod tests {
             lines[1]
         );
         assert!(lines[2].contains("\"pong\":true") && lines[2].contains("\"id\":\"b\""));
+    }
+
+    #[test]
+    fn an_oversized_line_is_request_too_large_and_the_session_goes_on() {
+        let mut input = b"{\"op\":\"ping\",\"id\":\"a\"}\n".to_vec();
+        input.resize(input.len() + MAX_REQUEST_LINE_BYTES + 1, b'x');
+        input.extend_from_slice(b"\n{\"op\":\"ping\",\"id\":\"b\"}\n");
+        let (exit, lines) = run_session(&input);
+        assert_eq!(exit, ServeExit::Eof);
+        assert_eq!(lines.len(), 3, "{lines:?}");
+        assert!(lines[0].contains("\"pong\":true") && lines[0].contains("\"id\":\"a\""));
+        assert!(
+            lines[1].contains("\"id\":null") && lines[1].contains("\"kind\":\"request_too_large\""),
+            "{}",
+            lines[1]
+        );
+        assert!(lines[2].contains("\"pong\":true") && lines[2].contains("\"id\":\"b\""));
+    }
+
+    #[test]
+    fn a_line_of_exactly_the_cap_is_still_parsed() {
+        let mut input = vec![b'x'; MAX_REQUEST_LINE_BYTES];
+        input.push(b'\n');
+        let (_, lines) = run_session(&input);
+        assert_eq!(lines.len(), 1, "{lines:?}");
+        assert!(lines[0].contains("\"kind\":\"bad_request\""), "{}", lines[0]);
     }
 
     #[cfg(unix)]

@@ -30,6 +30,7 @@
 
 #![warn(missing_docs)]
 
+pub mod bytes;
 pub mod cast;
 pub mod classifier;
 pub mod csv;

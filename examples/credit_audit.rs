@@ -14,7 +14,7 @@
 //! ```
 
 use fume::core::{
-    apply_removal, drop_unpriv_unfavor, mine_unfair_paths, ExplainRequest, Fume,
+    apply_removal, drop_unpriv_unfavor, mine_unfair_paths, ExplainRequest, Fume, FumeConfig,
 };
 use fume::fairness::{fairest_threshold, threshold_sweep, FairnessMetric};
 use fume::forest::{DareConfig, DareForest};
@@ -90,7 +90,7 @@ fn main() {
 
     // --- Strategy 3: FUME ---
     println!("\n== Strategy 3: FUME top-5 attributable subsets (5-15% support) ==");
-    let fume = Fume::builder().forest(forest_cfg).build();
+    let fume = Fume::new(FumeConfig::default().with_forest(forest_cfg));
     let report = fume
         .run(&ExplainRequest::new(&train, &test, group).with_model(&forest))
         .expect("the model is biased");

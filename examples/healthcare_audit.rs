@@ -10,7 +10,7 @@
 //! cargo run --release --example healthcare_audit
 //! ```
 
-use fume::core::{ExplainRequest, Fume};
+use fume::core::{ExplainRequest, Fume, FumeConfig};
 use fume::fairness::{fairness_report, FairnessMetric};
 use fume::forest::{DareConfig, DareForest};
 use fume::tabular::datasets::meps;
@@ -35,11 +35,12 @@ fn main() {
 
     for metric in FairnessMetric::ALL {
         println!("== top subsets attributable to {} ==", metric.name());
-        let fume = Fume::builder()
-            .metric(metric)
-            .top_k(3)
-            .forest(forest_cfg.clone())
-            .build();
+        let fume = Fume::new(
+            FumeConfig::default()
+                .with_metric(metric)
+                .with_top_k(3)
+                .with_forest(forest_cfg.clone()),
+        );
         match fume.run(&ExplainRequest::new(&train, &test, group).with_model(&forest)) {
             Ok(report) => print!("{}", report.to_markdown()),
             Err(e) => println!("  ({e})"),

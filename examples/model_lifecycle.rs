@@ -8,7 +8,9 @@
 //! cargo run --release --example model_lifecycle
 //! ```
 
-use fume::core::{find_slices, overlap_with_subset, rank_instances, ExplainRequest, Fume};
+use fume::core::{
+    find_slices, overlap_with_subset, rank_instances, ExplainRequest, Fume, FumeConfig,
+};
 use fume::fairness::FairnessMetric;
 use fume::forest::persist;
 use fume::forest::{DareConfig, DareForest};
@@ -53,10 +55,11 @@ fn main() {
     println!("re-learned the rows as fresh data; {} instances held", served.num_instances());
 
     // --- periodic fairness audit with FUME ---
-    let fume = Fume::builder()
-        .support(SupportRange::new(0.02, 0.25).expect("valid"))
-        .forest(cfg.clone())
-        .build();
+    let fume = Fume::new(
+        FumeConfig::default()
+            .with_support(SupportRange::new(0.02, 0.25).expect("valid"))
+            .with_forest(cfg.clone()),
+    );
     let audit = fume
         .run(&ExplainRequest::new(&train, &test, group).with_model(&served))
         .expect("the toy model is biased");

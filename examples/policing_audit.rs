@@ -9,7 +9,7 @@
 //! cargo run --release --example policing_audit
 //! ```
 
-use fume::core::{ExplainRequest, Fume, RetrainRemoval, RemovalMethod};
+use fume::core::{ExplainRequest, Fume, FumeConfig, RetrainRemoval, RemovalMethod};
 use fume::fairness::{permutation_importance, FairnessMetric};
 use fume::forest::{DareConfig, DareForest};
 use fume::tabular::datasets::sqf;
@@ -30,7 +30,7 @@ fn main() {
         metric.bias(&forest, &test, group)
     );
 
-    let fume = Fume::builder().forest(forest_cfg.clone()).build();
+    let fume = Fume::new(FumeConfig::default().with_forest(forest_cfg.clone()));
     let report = fume
         .run(&ExplainRequest::new(&train, &test, group).with_model(&forest))
         .expect("the model is biased");

@@ -4,7 +4,7 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use fume::core::{ExplainRequest, Fume};
+use fume::core::{ExplainRequest, Fume, FumeConfig};
 use fume::forest::DareConfig;
 use fume::lattice::SupportRange;
 use fume::tabular::datasets::planted_toy;
@@ -24,10 +24,11 @@ fn main() {
 
     // 2. Configure FUME: statistical parity, subsets of 2-25% support,
     //    up to 2 literals, top-5.
-    let fume = Fume::builder()
-        .support(SupportRange::new(0.02, 0.25).expect("valid range"))
-        .forest(DareConfig::small(42))
-        .build();
+    let fume = Fume::new(
+        FumeConfig::default()
+            .with_support(SupportRange::new(0.02, 0.25).expect("valid range"))
+            .with_forest(DareConfig::small(42)),
+    );
 
     // 3. Explain. FUME trains a DaRE forest, measures its violation, and
     //    searches the predicate lattice using machine unlearning to score

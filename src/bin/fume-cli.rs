@@ -11,33 +11,14 @@
 
 use std::process::exit;
 
-use fume::core::{drop_unpriv_unfavor, find_slices, ExplainRequest, Fume, FumeConfig};
-use fume::fairness::FairnessMetric;
-use fume::forest::{DareConfig, DareForest};
-use fume::lattice::{LiteralGen, SupportRange};
-use fume::tabular::csv::{read_csv, CsvOptions};
-use fume::tabular::discretize::{discretize, Discretizer};
-use fume::tabular::split::train_test_split;
-use fume::tabular::{Classifier, Dataset, GroupSpec};
+use fume::cli::{self, CliError, Flags, RunArgs};
+use fume::core::{drop_unpriv_unfavor, find_slices, ExplainRequest, Fume};
+use fume::forest::DareForest;
+use fume::tabular::Classifier;
 
 struct Args {
     command: String,
-    data: String,
-    label: String,
-    positive: String,
-    sensitive: String,
-    privileged: String,
-    metric: FairnessMetric,
-    support: SupportRange,
-    max_literals: usize,
-    top_k: usize,
-    trees: usize,
-    depth: usize,
-    seed: u64,
-    test_fraction: f64,
-    bins: usize,
-    ranges: bool,
-    trace: Option<String>,
+    run: RunArgs,
     progress: bool,
     checkpoint_dir: Option<String>,
     resume: bool,
@@ -46,23 +27,14 @@ struct Args {
 
 fn usage() -> ! {
     eprintln!(
-        "usage: fume-cli <explain|slices|baseline> --data FILE.csv --label COL \
-         --positive VALUE --sensitive COL --privileged VALUE\n\
-         options: --metric <sp|eo|pp>   fairness metric (default sp)\n\
-                  --support MIN:MAX     support range (default 0.05:0.15)\n\
-                  --max-literals N      interpretability cap (default 2)\n\
-                  --top-k K             subsets to report (default 5)\n\
-                  --trees N             forest size (default 50)\n\
-                  --depth D             max tree depth (default 10)\n\
-                  --seed S              RNG seed (default 0)\n\
-                  --test-fraction F     held-out fraction (default 0.3)\n\
-                  --bins B              numeric discretization bins (default 5)\n\
-                  --ranges              generate <=/>= literals on binned columns\n\
-                  --trace FILE          write a JSONL span/counter trace (or set FUME_TRACE)\n\
-                  --progress            live search status line on stderr (level, evals/s, ETA)\n\
-                  --checkpoint-dir DIR  checkpoint the explain run (forest + search state)\n\
-                  --resume              continue a crashed run from --checkpoint-dir\n\
-                  --json                print the explain report as canonical JSON (schema 1)"
+        "{}",
+        cli::usage(
+            "fume-cli <explain|slices|baseline>",
+            "  --progress            live search status line on stderr (level, evals/s, ETA)\n  \
+             --checkpoint-dir DIR  checkpoint the explain run (forest + search state)\n  \
+             --resume              continue a crashed run from --checkpoint-dir\n  \
+             --json                print the explain report as canonical JSON (schema 1)"
+        )
     );
     exit(2)
 }
@@ -72,249 +44,88 @@ fn fail(msg: impl std::fmt::Display) -> ! {
     exit(1)
 }
 
-fn parse_args() -> Args {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let Some(command) = argv.first().cloned() else { usage() };
+fn parse_args() -> Result<Args, CliError> {
+    let mut flags = Flags::from_env();
+    let command = flags.next().ok_or(CliError::Usage)?;
     if !matches!(command.as_str(), "explain" | "slices" | "baseline") {
-        usage();
+        return Err(CliError::Usage);
     }
-    let mut args = Args {
-        command,
-        data: String::new(),
-        label: "label".into(),
-        positive: "1".into(),
-        sensitive: String::new(),
-        privileged: String::new(),
-        metric: FairnessMetric::StatisticalParity,
-        support: SupportRange::medium(),
-        max_literals: 2,
-        top_k: 5,
-        trees: 50,
-        depth: 10,
-        seed: 0,
-        test_fraction: 0.3,
-        bins: 5,
-        ranges: false,
-        trace: std::env::var("FUME_TRACE").ok().filter(|s| !s.is_empty()),
-        progress: false,
-        checkpoint_dir: None,
-        resume: false,
-        json: false,
-    };
-    let mut it = argv[1..].iter();
-    while let Some(flag) = it.next() {
-        let mut value = || it.next().cloned().unwrap_or_else(|| usage());
-        match flag.as_str() {
-            "--data" => args.data = value(),
-            "--label" => args.label = value(),
-            "--positive" => args.positive = value(),
-            "--sensitive" => args.sensitive = value(),
-            "--privileged" => args.privileged = value(),
-            "--metric" => {
-                args.metric = match value().as_str() {
-                    "sp" => FairnessMetric::StatisticalParity,
-                    "eo" => FairnessMetric::EqualizedOdds,
-                    "pp" => FairnessMetric::PredictiveParity,
-                    other => fail(format!("unknown metric `{other}` (sp|eo|pp)")),
-                }
-            }
-            "--support" => {
-                let v = value();
-                let Some((lo, hi)) = v.split_once(':') else {
-                    fail(format!("--support expects MIN:MAX, got `{v}`"))
-                };
-                let (lo, hi) = match (lo.parse(), hi.parse()) {
-                    (Ok(a), Ok(b)) => (a, b),
-                    _ => fail(format!("--support expects numbers, got `{v}`")),
-                };
-                args.support =
-                    SupportRange::new(lo, hi).unwrap_or_else(|e| fail(e));
-            }
-            "--max-literals" => {
-                args.max_literals = value().parse().unwrap_or_else(|_| usage())
-            }
-            "--top-k" => args.top_k = value().parse().unwrap_or_else(|_| usage()),
-            "--trees" => args.trees = value().parse().unwrap_or_else(|_| usage()),
-            "--depth" => args.depth = value().parse().unwrap_or_else(|_| usage()),
-            "--seed" => args.seed = value().parse().unwrap_or_else(|_| usage()),
-            "--test-fraction" => {
-                args.test_fraction = value().parse().unwrap_or_else(|_| usage())
-            }
-            "--bins" => args.bins = value().parse().unwrap_or_else(|_| usage()),
-            "--ranges" => args.ranges = true,
-            "--trace" => args.trace = Some(value()),
-            "--progress" => args.progress = true,
-            "--checkpoint-dir" => args.checkpoint_dir = Some(value()),
-            "--resume" => args.resume = true,
-            "--json" => args.json = true,
-            "--help" | "-h" => usage(),
-            other => fail(format!("unknown flag `{other}`")),
+    let (mut progress, mut checkpoint_dir, mut resume, mut json) = (false, None, false, false);
+    let run = RunArgs::parse(&mut flags, |flag, flags| {
+        match flag {
+            "--progress" => progress = true,
+            "--checkpoint-dir" => checkpoint_dir = Some(flags.value()?),
+            "--resume" => resume = true,
+            "--json" => json = true,
+            _ => return Ok(false),
         }
-    }
-    if args.data.is_empty() || args.sensitive.is_empty() || args.privileged.is_empty() {
-        usage();
-    }
+        Ok(true)
+    })?;
+    let args = Args { command, run, progress, checkpoint_dir, resume, json };
+    let failed = |msg: &str| Err(CliError::Failed(msg.into()));
     if args.resume && args.checkpoint_dir.is_none() {
-        fail("--resume requires --checkpoint-dir");
+        return failed("--resume requires --checkpoint-dir");
     }
     if args.json && args.command != "explain" {
-        fail("--json only applies to the explain command");
+        return failed("--json only applies to the explain command");
     }
     if args.checkpoint_dir.is_some() && args.command != "explain" {
-        fail("--checkpoint-dir only applies to the explain command");
+        return failed("--checkpoint-dir only applies to the explain command");
     }
-    args
+    Ok(args)
 }
 
-fn load(args: &Args) -> (Dataset, Dataset, GroupSpec) {
-    let opts = CsvOptions {
-        label_column: args.label.clone(),
-        positive_label: args.positive.clone(),
-        ..CsvOptions::default()
-    };
-    let raw = read_csv(&args.data, &opts).unwrap_or_else(|e| fail(e));
-    let data = discretize(&raw, Discretizer::Quantile(args.bins))
-        .unwrap_or_else(|e| fail(e));
-    let attr = data
-        .schema()
-        .attribute_index(&args.sensitive)
-        .unwrap_or_else(|e| fail(e));
-    let privileged_code = data
-        .schema()
-        .attribute(attr)
-        .ok()
-        .and_then(|a| a.code_of(&args.privileged))
-        .unwrap_or_else(|| {
-            fail(format!(
-                "value `{}` not found in column `{}`",
-                args.privileged, args.sensitive
-            ))
-        });
-    let group = GroupSpec::new(attr, privileged_code);
-    let (train, test) =
-        train_test_split(&data, args.test_fraction, args.seed).unwrap_or_else(|e| fail(e));
-    (train, test, group)
-}
-
-fn config(args: &Args) -> FumeConfig {
-    let mut builder = Fume::builder()
-        .metric(args.metric)
-        .support(args.support)
-        .max_literals(args.max_literals)
-        .top_k(args.top_k)
-        .literal_gen(if args.ranges {
-            LiteralGen::WithRanges
-        } else {
-            LiteralGen::EqOnly
-        })
-        .forest(
-            DareConfig::default()
-                .with_trees(args.trees)
-                .with_max_depth(args.depth)
-                .with_seed(args.seed),
-        );
-    if let Some(dir) = &args.checkpoint_dir {
-        builder = builder.checkpoint_dir(dir);
-    }
-    builder.into_config()
-}
-
-/// FNV-1a over a canonical rendering of the run-defining flags — the
-/// `config_hash` stamped into the trace header so `fume-trace diff`
-/// users can tell config drift from perf drift.
-fn config_hash(args: &Args) -> u64 {
-    let canonical = format!(
-        "{}|{:?}|{}:{}|{}|{}|{}|{}|{}|{}|{}",
-        args.command,
-        args.metric,
-        args.support.min,
-        args.support.max,
-        args.max_literals,
-        args.top_k,
-        args.trees,
-        args.depth,
-        args.seed,
-        args.bins,
-        args.ranges,
-    );
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in canonical.bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-fn main() {
-    let args = parse_args();
-    if args.trace.is_some() {
-        fume::obs::install();
-    }
+fn run(args: &Args) -> Result<(), CliError> {
+    let trace = args.run.start_trace();
     if args.progress {
         fume::obs::progress::set_observer(|snap| {
             // Rewrite one stderr status line in place.
             eprint!("\r\x1b[K{}", fume::obs::progress::status_line(snap));
         });
     }
-    let (train, test, group) = load(&args);
-    let banner = format!(
-        "loaded {} train / {} test rows, {} attributes; sensitive `{}` (privileged `{}`)",
-        train.num_rows(),
-        test.num_rows(),
-        train.num_attributes(),
-        args.sensitive,
-        args.privileged
-    );
+    let (train, test, group) = args.run.load()?;
+    let banner = args.run.loaded_banner(&train, &test);
     if args.json {
         // Keep stdout pure JSON for scripting.
         eprintln!("{banner}");
     } else {
         println!("{banner}");
     }
-    let cfg = config(&args);
-    if args.trace.is_some() {
-        let rec = fume::obs::global().expect("recorder installed when tracing");
-        rec.set_meta("seed", args.seed.to_string());
-        rec.set_meta("config_hash", format!("{:016x}", config_hash(&args)));
-        rec.set_meta(
-            "dataset_fingerprint",
-            format!("{:016x}", fume::core::checkpoint::fingerprint(&train, &test, group)),
-        );
-        rec.set_meta("dataset", args.data.clone());
+    let mut cfg = args.run.config();
+    if let Some(dir) = &args.checkpoint_dir {
+        cfg = cfg.with_checkpoint_dir(dir);
+    }
+    if let Some(trace) = &trace {
+        trace.stamp(&args.run, &args.command, &train, &test, group);
     }
 
     match args.command.as_str() {
         "explain" => {
-            let fume = if args.resume {
-                // fail() exits; the unwrap_or_else is the CLI's error style
-                let dir = args.checkpoint_dir.as_deref().unwrap_or_else(|| usage());
-                Fume::resume(dir).unwrap_or_else(|e| fail(e))
-            } else {
-                Fume::new(cfg)
+            let fume = match &args.checkpoint_dir {
+                Some(dir) if args.resume => Fume::resume(dir)?,
+                _ => Fume::new(cfg),
             };
-            match fume.run(&ExplainRequest::new(&train, &test, group)) {
-                Ok(report) if args.json => println!("{}", report.to_json()),
-                Ok(report) => {
-                    println!(
-                        "\nmodel accuracy {:.1}% · {} violation |F| = {:.4} · \
-                         {} unlearning ops in {:.2}s\n",
-                        report.original_accuracy * 100.0,
-                        report.metric.name(),
-                        report.original_bias,
-                        report.unlearning_operations,
-                        report.search_time.as_secs_f64()
-                    );
-                    print!("{}", report.to_markdown());
-                    eprint!("\n{}", report.timing_table());
-                }
-                Err(e) => fail(e),
+            let report = fume.run(&ExplainRequest::new(&train, &test, group))?;
+            if args.json {
+                println!("{}", report.to_json());
+            } else {
+                println!(
+                    "\nmodel accuracy {:.1}% · {} violation |F| = {:.4} · \
+                     {} unlearning ops in {:.2}s\n",
+                    report.original_accuracy * 100.0,
+                    report.metric.name(),
+                    report.original_bias,
+                    report.unlearning_operations,
+                    report.search_time.as_secs_f64()
+                );
+                print!("{}", report.to_markdown());
+                eprint!("\n{}", report.timing_table());
             }
         }
         "slices" => {
             let forest = DareForest::fit(&train, cfg.forest.clone());
             println!("\nmodel accuracy {:.1}%\n", forest.accuracy(&test) * 100.0);
-            let params = cfg.search_params().unwrap_or_else(|e| fail(e));
-            let slices = find_slices(&forest, &test, &params, args.top_k);
+            let slices = find_slices(&forest, &test, &cfg.search_params()?, args.run.top_k);
             println!("| # | Slice | Support | Slice error | Rest error |");
             println!("|---|---|---|---|---|");
             for (i, s) in slices.iter().enumerate() {
@@ -328,8 +139,8 @@ fn main() {
                 );
             }
         }
-        "baseline" => {
-            let b = drop_unpriv_unfavor(&train, &test, group, args.metric, &cfg.forest);
+        _ => {
+            let b = drop_unpriv_unfavor(&train, &test, group, args.run.metric, &cfg.forest);
             println!(
                 "\nDropUnprivUnfavor: removes {:.2}% of training data\n\
                  bias {:.4} -> {:.4} (parity reduction {:.2}%)\n\
@@ -342,19 +153,23 @@ fn main() {
                 b.accuracy_after * 100.0
             );
         }
-        _ => usage(),
     }
 
     if args.progress {
         // Terminate the rewriting status line.
         eprintln!();
     }
-    if let Some(path) = &args.trace {
-        let rec = fume::obs::global().expect("recorder installed when tracing");
-        match std::fs::write(path, rec.events_to_jsonl()) {
-            Ok(()) => eprintln!("fume-cli: wrote {} trace events to {path}", rec.event_count()),
-            Err(e) => fail(format!("cannot write trace `{path}`: {e}")),
-        }
-        eprint!("\n{}", rec.profile_table());
+    match &trace {
+        Some(trace) => trace.finish("fume-cli"),
+        None => Ok(()),
+    }
+}
+
+fn main() {
+    let result = parse_args().and_then(|args| run(&args));
+    match result {
+        Ok(()) => {}
+        Err(CliError::Usage) => usage(),
+        Err(CliError::Failed(msg)) => fail(msg),
     }
 }

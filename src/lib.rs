@@ -7,7 +7,11 @@
 //! * [`fairness`] — group-fairness metrics and feature importance;
 //! * [`lattice`] — predicate search space with pruning;
 //! * [`core`] — the FUME top-k attribution algorithm itself;
-//! * [`serve`] — the persistent multi-request explain engine.
+//! * [`serve`] — the persistent multi-request explain engine;
+//! * [`cli`] — the command-line front end of the `fume-cli` and
+//!   `fume-serve` binaries.
+
+pub mod cli;
 
 pub use fume_core as core;
 pub use fume_fairness as fairness;

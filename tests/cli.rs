@@ -1,7 +1,9 @@
-//! End-to-end tests of the `fume-cli` binary: real process, real CSV.
+//! End-to-end tests of the `fume-cli` and `fume-serve` binaries: real
+//! processes, real CSV.
 
+use std::io::Write;
 use std::path::PathBuf;
-use std::process::Command;
+use std::process::{Command, Stdio};
 
 /// This test process's scratch directory. Tests run on parallel threads,
 /// so each one writes files under its own name in it.
@@ -32,6 +34,10 @@ fn write_loans_csv(test: &str) -> PathBuf {
 
 fn cli() -> Command {
     Command::new(env!("CARGO_BIN_EXE_fume-cli"))
+}
+
+fn serve() -> Command {
+    Command::new(env!("CARGO_BIN_EXE_fume-serve"))
 }
 
 fn common_args(cmd: &mut Command, csv: &std::path::Path) {
@@ -165,4 +171,55 @@ fn bad_invocations_exit_nonzero_with_usage() {
     let out = cmd.output().unwrap();
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("martian"));
+}
+
+#[test]
+fn served_report_is_byte_identical_to_the_cli_json() {
+    let csv = write_loans_csv("served_report_is_byte_identical_to_the_cli_json");
+    let mut cmd = cli();
+    cmd.arg("explain");
+    common_args(&mut cmd, &csv);
+    cmd.arg("--json");
+    let out = cmd.output().expect("binary runs");
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let cli_report = String::from_utf8(out.stdout).unwrap();
+
+    let mut cmd = serve();
+    common_args(&mut cmd, &csv);
+    cmd.args(["--workers", "1"]);
+    cmd.stdin(Stdio::piped()).stdout(Stdio::piped()).stderr(Stdio::piped());
+    let mut child = cmd.spawn().expect("binary runs");
+    child
+        .stdin
+        .take()
+        .unwrap()
+        .write_all(b"{\"op\":\"explain\",\"id\":\"r1\"}\n{\"op\":\"shutdown\",\"id\":\"r2\"}\n")
+        .unwrap();
+    let out = child.wait_with_output().unwrap();
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let session = String::from_utf8(out.stdout).unwrap();
+    let lines: Vec<&str> = session.lines().collect();
+    assert_eq!(lines.len(), 2, "{session}");
+    assert!(lines[1].contains("\"shutdown\":true"), "{}", lines[1]);
+    let served = lines[0]
+        .split_once(",\"report\":")
+        .and_then(|(_, rest)| rest.strip_suffix('}'))
+        .unwrap_or_else(|| panic!("no report in {}", lines[0]));
+    assert_eq!(served, cli_report.trim_end());
+}
+
+#[test]
+fn serve_rejects_an_unknown_metric_like_the_cli() {
+    let csv = write_loans_csv("serve_rejects_an_unknown_metric_like_the_cli");
+    let mut cmd = serve();
+    common_args(&mut cmd, &csv);
+    cmd.args(["--metric", "nope"]).stdin(Stdio::null());
+    let out = cmd.output().unwrap();
+    assert!(!out.status.success());
+    assert!(String::from_utf8_lossy(&out.stderr).contains("unknown metric `nope`"));
+
+    // No arguments: usage on stderr.
+    let out = serve().stdin(Stdio::null()).output().unwrap();
+    assert!(!out.status.success());
+    assert!(String::from_utf8_lossy(&out.stderr).contains("usage:"));
 }
