@@ -1,11 +1,13 @@
-//! Pointer walk vs flattened prediction plan: full ensemble prediction
-//! passes over an Adult-scale test set, plus the plan compile cost.
-//! Emits `BENCH_predict.json`; `scripts/verify.sh` runs the `--smoke`
-//! mode and fails if the plan kernel regresses below 1.5x over the
-//! pointer walk. The two paths must agree bitwise before their speed is
-//! comparable — the bench asserts full-vector bit equality every round,
-//! and runs with `FUME_DEEPCHECK` semantics hard-coded (the comparison
-//! here *is* the deepcheck, at bench scale, in release mode).
+//! Reference walk vs the production kernel: full ensemble prediction
+//! passes over an Adult-scale test set through `DareForest::predict_proba`
+//! (the blocked 8-lane kernel on the forest's live hot arrays, the only
+//! production path) and through `DareForest::predict_proba_reference`
+//! (the branching per-row walk every fast path must match). Emits
+//! `BENCH_predict.json`; `scripts/verify.sh` runs the `--smoke` mode and
+//! fails if the kernel regresses below 1.5x over the reference walk. The
+//! two must agree bitwise before their speed is comparable — the bench
+//! asserts full-vector bit equality first, in release mode (the
+//! comparison here *is* the `FUME_DEEPCHECK` check, at bench scale).
 //!
 //! ```text
 //! cargo bench --bench predict_kernel            # full Adult-scale run
@@ -14,10 +16,10 @@
 
 use std::time::Instant;
 
-use fume_forest::{DareConfig, DareForest, PredictPlan};
+use fume_forest::{DareConfig, DareForest};
 use fume_tabular::datasets::adult;
 use fume_tabular::split::train_test_split;
-use fume_tabular::Dataset;
+use fume_tabular::{Classifier, Dataset};
 
 struct Setup {
     mode: &'static str,
@@ -66,59 +68,43 @@ fn main() {
     let rows = s.test.num_rows();
     let trees = s.forest.config().n_trees;
 
-    // Compile cost, timed separately — the plan is reused across passes
-    // in every real call site (routing build + base predictions share
-    // one compile), so it must not be charged to each pass.
-    let mut compile_secs = f64::INFINITY;
-    for _ in 0..s.rounds {
-        let t0 = Instant::now();
-        let plan = PredictPlan::compile(&s.forest);
-        compile_secs = compile_secs.min(t0.elapsed().as_secs_f64());
-        std::hint::black_box(&plan);
-    }
-    let plan = PredictPlan::compile(&s.forest);
-
-    // Bitwise equivalence before any speed claim: every row of the plan
-    // kernel's output must carry the exact bits of the pointer walk.
-    let reference = s.forest.predict_proba_pointer(&s.test);
-    let mut out = vec![0.0f64; rows];
-    plan.predict_into(&s.test, &mut out);
-    for (row, (a, b)) in out.iter().zip(&reference).enumerate() {
+    // Bitwise equivalence before any speed claim: every row of the
+    // kernel's output must carry the exact bits of the reference walk.
+    let reference = s.forest.predict_proba_reference(&s.test);
+    let kernel = s.forest.predict_proba(&s.test);
+    for (row, (a, b)) in kernel.iter().zip(&reference).enumerate() {
         assert_eq!(
             a.to_bits(),
             b.to_bits(),
-            "plan kernel diverged from the pointer walk at row {row}"
+            "the kernel diverged from the reference walk at row {row}"
         );
     }
 
-    let pointer_secs = time_passes(s.passes, s.rounds, || {
-        std::hint::black_box(s.forest.predict_proba_pointer(&s.test));
+    let reference_secs = time_passes(s.passes, s.rounds, || {
+        std::hint::black_box(s.forest.predict_proba_reference(&s.test));
     });
-    let plan_secs = time_passes(s.passes, s.rounds, || {
-        plan.predict_into(&s.test, &mut out);
-        std::hint::black_box(&out);
+    let kernel_secs = time_passes(s.passes, s.rounds, || {
+        std::hint::black_box(s.forest.predict_proba(&s.test));
     });
 
-    let speedup = pointer_secs / plan_secs;
-    let pointer_rps = rows as f64 / pointer_secs;
-    let plan_rps = rows as f64 / plan_secs;
+    let speedup = reference_secs / kernel_secs;
+    let reference_rps = rows as f64 / reference_secs;
+    let kernel_rps = rows as f64 / kernel_secs;
+    let slots: usize = s.forest.trees().iter().map(|t| t.store().len()).sum();
 
     println!(
-        "predict_kernel ({} · {rows} test rows · {trees} trees · {} passes/round · {} rounds)",
+        "predict_kernel ({} · {rows} test rows · {trees} trees · {slots} slots · {} passes/round · {} rounds)",
         s.mode, s.passes, s.rounds
     );
-    println!("  pointer walk   {:>12.6}s/pass   {pointer_rps:>12.0} rows/s", pointer_secs);
-    println!("  plan kernel    {:>12.6}s/pass   {plan_rps:>12.0} rows/s", plan_secs);
-    println!("  plan compile   {:>12.6}s ({} nodes, ~{} KiB)",
-        compile_secs, plan.num_nodes(), plan.approx_bytes() / 1024);
-    println!("  speedup        {speedup:>12.2}x (plan vs pointer)");
+    println!("  reference walk {:>12.6}s/pass   {reference_rps:>12.0} rows/s", reference_secs);
+    println!("  kernel         {:>12.6}s/pass   {kernel_rps:>12.0} rows/s", kernel_secs);
+    println!("  speedup        {speedup:>12.2}x (kernel vs reference walk)");
 
     let json = format!(
         "{{\"bench\":\"predict\",\"mode\":\"{}\",\"rows\":{rows},\"trees\":{trees},\
          \"passes_per_round\":{},\"rounds\":{},\
-         \"pointer_secs\":{pointer_secs:.9},\"plan_secs\":{plan_secs:.9},\
-         \"compile_secs\":{compile_secs:.9},\
-         \"pointer_rows_per_sec\":{pointer_rps:.0},\"plan_rows_per_sec\":{plan_rps:.0},\
+         \"reference_secs\":{reference_secs:.9},\"kernel_secs\":{kernel_secs:.9},\
+         \"reference_rows_per_sec\":{reference_rps:.0},\"kernel_rows_per_sec\":{kernel_rps:.0},\
          \"speedup\":{speedup:.3}}}\n",
         s.mode, s.passes, s.rounds
     );

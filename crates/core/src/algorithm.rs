@@ -276,6 +276,10 @@ impl Fume {
                 let mut resumed = None;
                 if self.resume {
                     if let Some(dir) = &self.config.checkpoint_dir {
+                        // The checkpoint must belong to this data before its
+                        // forest is used: a forest fitted on another schema
+                        // reads columns this data does not have.
+                        self.validate_resumed(dir, request)?;
                         match checkpoint::load_forest(dir) {
                             Ok(forest) => resumed = Some(forest),
                             // No forest persisted yet (crash before the
@@ -322,6 +326,20 @@ impl Fume {
             self.run_inner(DareRemoval::new(forest, train), forest, train, test, group, memo)?;
         report.training_time = training_time;
         Ok(report)
+    }
+
+    /// Checks a resumed checkpoint's configuration and data fingerprint
+    /// against this run; a missing state file (a crash before the first
+    /// write) has nothing to check.
+    fn validate_resumed(&self, dir: &Path, request: &ExplainRequest<'_>) -> Result<(), FumeError> {
+        match checkpoint::load_state(dir) {
+            Ok(ckpt) => {
+                let fp = checkpoint::fingerprint(request.train, request.test, request.group);
+                Ok(checkpoint::validate(&ckpt, &self.config, fp)?)
+            }
+            Err(CheckpointError::NothingToResume(_)) => Ok(()),
+            Err(e) => Err(e.into()),
+        }
     }
 
     /// The run body shared by every entrypoint: violation check, lattice

@@ -3,7 +3,7 @@
 //! the unfavorable outcome.
 
 use fume_fairness::FairnessMetric;
-use fume_forest::{DareConfig, DareForest, PredictPlan};
+use fume_forest::{DareConfig, DareForest};
 use fume_tabular::{Classifier, Dataset, GroupSpec};
 
 /// Outcome of the DropUnprivUnfavor baseline.
@@ -34,13 +34,9 @@ pub fn drop_unpriv_unfavor(
     metric: FairnessMetric,
     forest_cfg: &DareConfig,
 ) -> BaselineResult {
-    // Each trained model is scored twice over the full test set (bias
-    // and accuracy); one plan compile per model serves both passes,
-    // bitwise identical to scoring the forest directly.
     let original = DareForest::fit(train, forest_cfg.clone());
-    let original_plan = PredictPlan::compile(&original);
-    let bias_before = metric.bias(&original_plan, test, group);
-    let accuracy_before = original_plan.accuracy(test);
+    let bias_before = metric.bias(&original, test, group);
+    let accuracy_before = original.accuracy(test);
 
     let removed: Vec<u32> = (0..train.num_rows() as u32)
         .filter(|&r| !train.is_privileged(r as usize, group) && !train.label(r as usize))
@@ -51,9 +47,8 @@ pub fn drop_unpriv_unfavor(
     let removed_fraction = removed.len() as f64 / train.num_rows().max(1) as f64;
 
     let retrained = DareForest::fit_on(train, surviving, forest_cfg.clone());
-    let retrained_plan = PredictPlan::compile(&retrained);
-    let bias_after = metric.bias(&retrained_plan, test, group);
-    let accuracy_after = retrained_plan.accuracy(test);
+    let bias_after = metric.bias(&retrained, test, group);
+    let accuracy_after = retrained.accuracy(test);
 
     let parity_reduction = if bias_before <= f64::EPSILON {
         0.0

@@ -529,16 +529,19 @@ fn forest_path(dir: &Path) -> PathBuf {
     dir.join(FOREST_FILE)
 }
 
+/// Replaces `path` with `bytes` atomically and durably: the bytes are
+/// synced under a `.tmp` name, renamed over `path`, and the directory is
+/// synced, so a crash or power cut leaves either the old file or the new
+/// one, never a truncated one.
 fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), CheckpointError> {
-    let mut tmp = path.as_os_str().to_os_string();
-    tmp.push(".tmp");
-    let tmp = PathBuf::from(tmp);
-    std::fs::write(&tmp, bytes)?;
+    let tmp = persist::tmp_sibling(path);
+    persist::write_synced(&tmp, bytes)?;
     // The injectable crash window: bytes are on disk under the tmp name
     // but the rename has not happened — the previous checkpoint (if any)
     // is still the one a resume will see.
     fume_obs::fault::fault_point("mid-checkpoint-write");
     std::fs::rename(&tmp, path)?;
+    persist::sync_parent(path)?;
     Ok(())
 }
 

@@ -7,8 +7,7 @@
 //! to the protected side and (b) end in a leaf predicting the unfavorable
 //! outcome, together with the fraction of training samples they carry.
 
-use fume_forest::node::Node;
-use fume_forest::DareForest;
+use fume_forest::{DareForest, NodeRef};
 use fume_tabular::{Dataset, GroupSpec};
 
 /// A mined discriminatory path.
@@ -77,32 +76,27 @@ fn side_allows_code(is_left: bool, thr: u16, code: u16) -> bool {
 }
 
 fn walk(
-    node: &Node,
+    node: NodeRef<'_>,
     depth: usize,
     max_levels: usize,
     conditions: &mut Vec<(u16, bool, u16)>,
     emit: &mut impl FnMut(&[(u16, bool, u16)], u32, f64),
 ) {
-    match node {
-        Node::Leaf(l) => {
-            let n = l.ids.len() as u32;
-            emit(conditions, n, l.proba());
-        }
-        Node::Internal(i) => {
-            if depth >= max_levels {
-                // Treat the subtree as a pseudo-leaf with its majority.
-                let proba = if i.n == 0 { 0.5 } else { i.n_pos as f64 / i.n as f64 };
-                emit(conditions, i.n, proba);
-                return;
-            }
-            conditions.push((i.attr, true, i.threshold));
-            walk(&i.left, depth + 1, max_levels, conditions, emit);
-            conditions.pop();
-            conditions.push((i.attr, false, i.threshold));
-            walk(&i.right, depth + 1, max_levels, conditions, emit);
-            conditions.pop();
-        }
+    let Some([left, right]) = node.children() else {
+        emit(conditions, node.n(), node.proba());
+        return;
+    };
+    if depth >= max_levels {
+        // Treat the subtree as a pseudo-leaf with its majority.
+        emit(conditions, node.n(), node.proba());
+        return;
     }
+    conditions.push((node.attr(), true, node.threshold()));
+    walk(left, depth + 1, max_levels, conditions, emit);
+    conditions.pop();
+    conditions.push((node.attr(), false, node.threshold()));
+    walk(right, depth + 1, max_levels, conditions, emit);
+    conditions.pop();
 }
 
 fn render_conditions(conditions: &[(u16, bool, u16)], data: &Dataset) -> String {

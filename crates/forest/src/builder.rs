@@ -5,9 +5,11 @@
 //! replenishment of one delete or insert pass. It recurses over a borrowed
 //! id slice that it partitions in place, and keeps every per-node working
 //! set (attribute order, cut list, label-split histogram, candidate
-//! staging, partition spill) in scratch buffers reused from node to node.
-//! A node therefore allocates only what the finished tree keeps: a leaf's
-//! id list, a boxed internal node and its exact-size candidate pool.
+//! staging, partition spill) in scratch buffers reused from node to node —
+//! and, through [`BuildBuffers`], from one pass over a tree to the next.
+//! It writes each node into the tree's [`NodeStore`] in preorder: the node,
+//! then its left subtree, then its right. A node therefore allocates
+//! nothing of its own; the store's arrays grow by amortized doubling.
 //!
 //! A built tree is a pure function of the ids' order, the configuration
 //! and the RNG stream. The order and slice length of every RNG draw (the
@@ -22,7 +24,7 @@ use fume_tabular::Dataset;
 
 use crate::config::DareConfig;
 use crate::gini::gini_gain;
-use crate::node::{Candidate, Internal, Leaf, Node};
+use crate::node::{Candidate, Cold, NodeStore};
 
 /// Tolerance for "strictly better" gain comparisons: build-time choice and
 /// delete-time re-evaluation must use the same epsilon or unlearning would
@@ -57,10 +59,6 @@ fn accumulate(hist: &mut [Bin]) {
     }
 }
 
-fn leaf(ids: &[u32], n_pos: u32) -> Node {
-    Node::Leaf(Leaf { ids: ids.to_vec(), n_pos })
-}
-
 /// Whether a candidate split separates the node's data while honoring the
 /// leaf-size minimum. Used identically at build time and unlearning time.
 #[inline]
@@ -93,12 +91,10 @@ pub(crate) fn best_candidate(
     best.map(|(i, _)| i)
 }
 
-/// Builds trees, and the statistics updates of unlearning and insertion,
-/// out of scratch buffers that live as long as the builder.
-#[must_use = "a builder does nothing until asked to build"]
-pub(crate) struct TreeBuilder<'a> {
-    data: &'a Dataset,
-    cfg: &'a DareConfig,
+/// A [`TreeBuilder`]'s scratch buffers, handed from one pass over a tree
+/// to the next so a warm tree's passes allocate nothing.
+#[derive(Debug, Default)]
+pub(crate) struct BuildBuffers {
     /// The current node's attribute order, reset to `0..p` and shuffled.
     attrs: Vec<u16>,
     /// Cut thresholds of the attribute being sampled.
@@ -111,18 +107,31 @@ pub(crate) struct TreeBuilder<'a> {
     spill: Vec<u32>,
 }
 
+/// Builds trees, and the statistics updates of unlearning and insertion,
+/// out of scratch buffers that live as long as the builder.
+#[must_use = "a builder does nothing until asked to build"]
+pub(crate) struct TreeBuilder<'a> {
+    data: &'a Dataset,
+    cfg: &'a DareConfig,
+    bufs: BuildBuffers,
+    /// Depth of the deepest leaf written since the builder was made.
+    deepest: u32,
+}
+
 impl<'a> TreeBuilder<'a> {
-    /// A builder over `data`; its buffers grow on first use.
+    /// A builder over `data` with fresh buffers; they grow on first use.
     pub(crate) fn new(data: &'a Dataset, cfg: &'a DareConfig) -> Self {
-        Self {
-            data,
-            cfg,
-            attrs: Vec::new(),
-            cuts: Vec::new(),
-            hist: Vec::new(),
-            staging: Vec::new(),
-            spill: Vec::new(),
-        }
+        Self::with_buffers(data, cfg, BuildBuffers::default())
+    }
+
+    /// A builder over `data` reusing `bufs`.
+    pub(crate) fn with_buffers(data: &'a Dataset, cfg: &'a DareConfig, bufs: BuildBuffers) -> Self {
+        Self { data, cfg, bufs, deepest: 0 }
+    }
+
+    /// The buffers, for the next pass.
+    pub(crate) fn into_buffers(self) -> BuildBuffers {
+        self.bufs
     }
 
     /// The dataset this builder reads.
@@ -130,116 +139,141 @@ impl<'a> TreeBuilder<'a> {
         self.data
     }
 
-    /// Builds a (sub)tree over `ids` rooted at `depth`. Leaves keep the
-    /// ids in their order within `ids`; `ids` is left partitioned.
-    pub(crate) fn build(&mut self, ids: &mut [u32], depth: usize, rng: &mut StdRng) -> Node {
-        let labels = self.data.labels();
-        let n_pos = row_u32(ids.iter().filter(|&&id| labels[id as usize]).count());
-        self.build_node(ids, n_pos, depth, rng)
+    /// Depth of the deepest leaf this builder has written.
+    pub(crate) fn deepest(&self) -> u32 {
+        self.deepest
     }
 
-    fn build_node(&mut self, ids: &mut [u32], n_pos: u32, depth: usize, rng: &mut StdRng) -> Node {
+    /// Appends a (sub)tree over `ids` rooted at `depth` to `store` and
+    /// returns its root slot. Leaves keep the ids in their order within
+    /// `ids`; `ids` is left partitioned.
+    pub(crate) fn build(
+        &mut self,
+        store: &mut NodeStore,
+        ids: &mut [u32],
+        depth: usize,
+        rng: &mut StdRng,
+    ) -> u32 {
+        let labels = self.data.labels();
+        let n_pos = row_u32(ids.iter().filter(|&&id| labels[id as usize]).count());
+        self.build_node(store, ids, n_pos, depth, rng)
+    }
+
+    fn build_node(
+        &mut self,
+        store: &mut NodeStore,
+        ids: &mut [u32],
+        n_pos: u32,
+        depth: usize,
+        rng: &mut StdRng,
+    ) -> u32 {
         let cfg = self.cfg;
         let n = row_u32(ids.len());
         if n < cfg.min_samples_split || n_pos == 0 || n_pos == n || depth >= cfg.max_depth {
-            return leaf(ids, n_pos);
+            return self.leaf(store, ids, n_pos, depth);
         }
         if depth < cfg.random_depth {
-            return self.random_node(ids, n_pos, depth, rng);
+            return self.random_node(store, ids, n_pos, depth, rng);
         }
-        self.greedy_node(ids, n_pos, depth, rng)
+        self.greedy_node(store, ids, n_pos, depth, rng)
+    }
+
+    fn leaf(&mut self, store: &mut NodeStore, ids: &[u32], n_pos: u32, depth: usize) -> u32 {
+        self.deepest = self.deepest.max(row_u32(depth));
+        store.push_leaf(ids, n_pos)
     }
 
     /// Resets the attribute order to `0..p` and shuffles it: `p - 1` draws.
     fn shuffle_attrs(&mut self, rng: &mut StdRng) {
-        self.attrs.clear();
-        self.attrs.extend(0..code_u16(self.data.num_attributes()));
-        self.attrs.shuffle(rng);
+        self.bufs.attrs.clear();
+        self.bufs.attrs.extend(0..code_u16(self.data.num_attributes()));
+        self.bufs.attrs.shuffle(rng);
     }
 
     /// A random upper-layer node: uniformly random attribute, uniformly
     /// random threshold within that attribute's observed code range. Both
     /// children are non-empty by construction (`threshold ∈ [min, max)`).
-    fn random_node(&mut self, ids: &mut [u32], n_pos: u32, depth: usize, rng: &mut StdRng) -> Node {
+    fn random_node(
+        &mut self,
+        store: &mut NodeStore,
+        ids: &mut [u32],
+        n_pos: u32,
+        depth: usize,
+        rng: &mut StdRng,
+    ) -> u32 {
         let n = row_u32(ids.len());
         let msl = self.cfg.min_samples_leaf;
         self.shuffle_attrs(rng);
-        for i in 0..self.attrs.len() {
-            let attr = self.attrs[i];
-            fill_histogram(&mut self.hist, self.data, attr, ids);
-            let lo = self.hist.iter().position(|b| b[0] > 0);
-            let hi = self.hist.iter().rposition(|b| b[0] > 0);
+        for i in 0..self.bufs.attrs.len() {
+            let attr = self.bufs.attrs[i];
+            let hist = &mut self.bufs.hist;
+            fill_histogram(hist, self.data, attr, ids);
+            let lo = hist.iter().position(|b| b[0] > 0);
+            let hi = hist.iter().rposition(|b| b[0] > 0);
             let (Some(lo), Some(hi)) = (lo, hi) else { continue };
             if lo >= hi {
                 continue; // constant attribute in this node
             }
             let threshold = rng.gen_range(code_u16(lo)..code_u16(hi));
-            accumulate(&mut self.hist[..=threshold as usize]);
-            let [n_left, n_left_pos] = self.hist[threshold as usize];
+            accumulate(&mut hist[..=threshold as usize]);
+            let [n_left, n_left_pos] = hist[threshold as usize];
             if n_left < msl || n - n_left < msl {
                 continue;
             }
             self.partition(ids, attr, threshold);
+            let cold = Cold { n, n_pos, lo: 0, len: 0, chosen: 0, random: true };
+            let slot = store.push_internal(attr, threshold, cold, &[]);
             let (left_ids, right_ids) = ids.split_at_mut(n_left as usize);
-            let left = self.build_node(left_ids, n_left_pos, depth + 1, rng);
-            let right = self.build_node(right_ids, n_pos - n_left_pos, depth + 1, rng);
-            return Node::Internal(Box::new(Internal {
-                attr,
-                threshold,
-                is_random: true,
-                n,
-                n_pos,
-                candidates: Vec::new(),
-                chosen: 0,
-                left,
-                right,
-            }));
+            let left = self.build_node(store, left_ids, n_left_pos, depth + 1, rng);
+            let right = self.build_node(store, right_ids, n_pos - n_left_pos, depth + 1, rng);
+            store.set_kids(slot, [left, right]);
+            return slot;
         }
         // No attribute can split this node's data.
-        leaf(ids, n_pos)
+        self.leaf(store, ids, n_pos, depth)
     }
 
     /// A greedy node: samples `p̃` attributes and `k'` thresholds per
     /// attribute, caches every candidate's statistics, and splits on the
     /// best Gini gain.
-    fn greedy_node(&mut self, ids: &mut [u32], n_pos: u32, depth: usize, rng: &mut StdRng) -> Node {
+    fn greedy_node(
+        &mut self,
+        store: &mut NodeStore,
+        ids: &mut [u32],
+        n_pos: u32,
+        depth: usize,
+        rng: &mut StdRng,
+    ) -> u32 {
         let cfg = self.cfg;
         let n = row_u32(ids.len());
         self.shuffle_attrs(rng);
-        self.attrs.truncate(cfg.max_features.resolve(self.data.num_attributes()));
-        self.attrs.sort_unstable(); // deterministic candidate layout
+        self.bufs.attrs.truncate(cfg.max_features.resolve(self.data.num_attributes()));
+        self.bufs.attrs.sort_unstable(); // deterministic candidate layout
 
-        self.staging.clear();
-        for i in 0..self.attrs.len() {
-            self.sample_candidates(ids, self.attrs[i], cfg.n_thresholds, &[], rng);
+        self.bufs.staging.clear();
+        for i in 0..self.bufs.attrs.len() {
+            self.sample_candidates(ids, self.bufs.attrs[i], cfg.n_thresholds, &[], rng);
         }
         // Only cache candidates the builder could actually choose: cuts that
         // violate the leaf-size minimum would be dead weight and would break
         // the "every cached candidate is valid" invariant that unlearning's
         // replenishment step maintains.
-        self.staging.retain(|c| candidate_valid(c, n, cfg));
+        self.bufs.staging.retain(|c| candidate_valid(c, n, cfg));
 
-        let Some(chosen) = best_candidate(&self.staging, n, n_pos, cfg) else {
-            return leaf(ids, n_pos);
+        let Some(chosen) = best_candidate(&self.bufs.staging, n, n_pos, cfg) else {
+            return self.leaf(store, ids, n_pos, depth);
         };
-        // An exact-size copy: the children reuse the staging area.
-        let candidates = self.staging.clone();
-        let &Candidate { attr, threshold, n_left, n_left_pos } = &candidates[chosen];
+        // The pool is copied into the store before the children reuse the
+        // staging area.
+        let Candidate { attr, threshold, n_left, n_left_pos } = self.bufs.staging[chosen];
+        let cold = Cold { n, n_pos, lo: 0, len: 0, chosen: row_u32(chosen), random: false };
+        let slot = store.push_internal(attr, threshold, cold, &self.bufs.staging);
         self.partition(ids, attr, threshold);
         let (left_ids, right_ids) = ids.split_at_mut(n_left as usize);
-        let left = self.build_node(left_ids, n_left_pos, depth + 1, rng);
-        let right = self.build_node(right_ids, n_pos - n_left_pos, depth + 1, rng);
-        Node::Internal(Box::new(Internal {
-            attr,
-            threshold,
-            is_random: false,
-            n,
-            n_pos,
-            candidates,
-            chosen: row_u32(chosen),
-            left,
-            right,
-        }))
+        let left = self.build_node(store, left_ids, n_left_pos, depth + 1, rng);
+        let right = self.build_node(store, right_ids, n_pos - n_left_pos, depth + 1, rng);
+        store.set_kids(slot, [left, right]);
+        slot
     }
 
     /// Samples up to `k` cut thresholds for `attr` from the codes present
@@ -255,22 +289,21 @@ impl<'a> TreeBuilder<'a> {
         pool: &[Candidate],
         rng: &mut StdRng,
     ) {
-        fill_histogram(&mut self.hist, self.data, attr, ids);
-        self.cuts.clear();
-        self.cuts.extend(
-            self.hist.iter().enumerate().filter(|(_, b)| b[0] > 0).map(|(c, _)| code_u16(c)),
-        );
-        self.cuts.pop();
-        self.cuts.retain(|&t| !pool.iter().any(|c| c.attr == attr && c.threshold == t));
-        self.cuts.shuffle(rng);
-        self.cuts.truncate(k);
+        let BuildBuffers { cuts, hist, staging, .. } = &mut self.bufs;
+        fill_histogram(hist, self.data, attr, ids);
+        cuts.clear();
+        cuts.extend(hist.iter().enumerate().filter(|(_, b)| b[0] > 0).map(|(c, _)| code_u16(c)));
+        cuts.pop();
+        cuts.retain(|&t| !pool.iter().any(|c| c.attr == attr && c.threshold == t));
+        cuts.shuffle(rng);
+        cuts.truncate(k);
         // Deterministic order within the node regardless of shuffle: sort the
         // chosen cuts so equal RNG states give identical candidate layouts.
-        self.cuts.sort_unstable();
-        accumulate(&mut self.hist);
-        for &threshold in &self.cuts {
-            let [n_left, n_left_pos] = self.hist[threshold as usize];
-            self.staging.push(Candidate { attr, threshold, n_left, n_left_pos });
+        cuts.sort_unstable();
+        accumulate(hist);
+        for &threshold in cuts.iter() {
+            let [n_left, n_left_pos] = hist[threshold as usize];
+            staging.push(Candidate { attr, threshold, n_left, n_left_pos });
         }
     }
 
@@ -286,10 +319,10 @@ impl<'a> TreeBuilder<'a> {
         rng: &mut StdRng,
     ) {
         let n = row_u32(ids.len());
-        self.staging.clear();
+        self.bufs.staging.clear();
         self.sample_candidates(ids, attr, k, pool, rng);
         let cfg = self.cfg;
-        pool.extend(self.staging.iter().filter(|c| candidate_valid(c, n, cfg)).cloned());
+        pool.extend(self.bufs.staging.iter().filter(|c| candidate_valid(c, n, cfg)));
     }
 
     /// Stable in-place partition of `ids` by `code(attr) <= threshold`:
@@ -297,7 +330,8 @@ impl<'a> TreeBuilder<'a> {
     /// left side's length.
     pub(crate) fn partition(&mut self, ids: &mut [u32], attr: u16, threshold: u16) -> usize {
         let column = self.data.column(attr as usize);
-        self.spill.clear();
+        let spill = &mut self.bufs.spill;
+        spill.clear();
         let mut n_left = 0;
         for i in 0..ids.len() {
             let id = ids[i];
@@ -305,10 +339,10 @@ impl<'a> TreeBuilder<'a> {
                 ids[n_left] = id;
                 n_left += 1;
             } else {
-                self.spill.push(id);
+                spill.push(id);
             }
         }
-        ids[n_left..].copy_from_slice(&self.spill);
+        ids[n_left..].copy_from_slice(spill);
         n_left
     }
 
@@ -326,11 +360,11 @@ impl<'a> TreeBuilder<'a> {
         while let Some(first) = rest.first() {
             let attr = first.attr;
             let run = rest.iter().position(|c| c.attr != attr).unwrap_or(rest.len());
-            fill_histogram(&mut self.hist, self.data, attr, ids);
-            accumulate(&mut self.hist);
+            fill_histogram(&mut self.bufs.hist, self.data, attr, ids);
+            accumulate(&mut self.bufs.hist);
             let (head, tail) = rest.split_at_mut(run);
             for c in head {
-                apply(c, self.hist[c.threshold as usize]);
+                apply(c, self.bufs.hist[c.threshold as usize]);
             }
             rest = tail;
         }
@@ -340,6 +374,7 @@ impl<'a> TreeBuilder<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::node::NodeRef;
     use fume_tabular::{Attribute, Schema};
     use fume_tabular::rng::SeedableRng;
     use std::sync::Arc;
@@ -378,9 +413,12 @@ mod tests {
         }
     }
 
-    fn build(d: &Dataset, mut ids: Vec<u32>, seed: u64, cfg: &DareConfig) -> Node {
+    fn build(d: &Dataset, mut ids: Vec<u32>, seed: u64, cfg: &DareConfig) -> NodeStore {
         let mut rng = StdRng::seed_from_u64(seed);
-        TreeBuilder::new(d, cfg).build(&mut ids, 0, &mut rng)
+        let mut store = NodeStore::default();
+        let root = TreeBuilder::new(d, cfg).build(&mut store, &mut ids, 0, &mut rng);
+        assert_eq!(root, 0, "a fit writes the root first");
+        store
     }
 
     #[test]
@@ -443,9 +481,9 @@ mod tests {
     #[test]
     fn greedy_tree_learns_xor() {
         let d = xor_data();
-        let root = build(&d, d.all_row_ids(), 1, &cfg());
+        let store = build(&d, d.all_row_ids(), 1, &cfg());
         for row in 0..d.num_rows() {
-            let p = root.predict_row(&d, row);
+            let p = store.node(0).predict_row(&d, row);
             assert_eq!(p > 0.5, d.label(row), "row {row} proba {p}");
         }
     }
@@ -453,21 +491,22 @@ mod tests {
     #[test]
     fn node_statistics_are_consistent() {
         let d = xor_data();
-        let root = build(&d, d.all_row_ids(), 2, &cfg());
-        fn check(node: &Node) {
-            if let Node::Internal(i) = node {
-                assert_eq!(i.n, i.left.n() + i.right.n());
-                assert_eq!(i.n_pos, i.left.n_pos() + i.right.n_pos());
-                let c = &i.candidates[i.chosen as usize];
-                assert_eq!((c.attr, c.threshold), (i.attr, i.threshold));
-                assert_eq!(c.n_left, i.left.n());
-                assert_eq!(c.n_left_pos, i.left.n_pos());
-                assert_eq!(i.candidates.capacity(), i.candidates.len(), "exact-size pool");
-                check(&i.left);
-                check(&i.right);
+        let store = build(&d, d.all_row_ids(), 2, &cfg());
+        fn check(node: NodeRef<'_>) {
+            if let Some([left, right]) = node.children() {
+                assert_eq!(node.n(), left.n() + right.n());
+                assert_eq!(node.n_pos(), left.n_pos() + right.n_pos());
+                let c = &node.candidates()[node.chosen() as usize];
+                assert_eq!((c.attr, c.threshold), (node.attr(), node.threshold()));
+                assert_eq!(c.n_left, left.n());
+                assert_eq!(c.n_left_pos, left.n_pos());
+                assert_eq!(left.slot(), node.slot() + 1, "preorder: the left child is next");
+                check(left);
+                check(right);
             }
         }
-        check(&root);
+        check(store.node(0));
+        assert_eq!(store.node(0).size(), store.len(), "a fit leaves no unreachable slot");
     }
 
     #[test]
@@ -475,15 +514,13 @@ mod tests {
         let d = xor_data();
         let mut c = cfg();
         c.random_depth = 2;
-        let root = build(&d, d.all_row_ids(), 3, &c);
-        if let Node::Internal(i) = &root {
-            assert!(i.is_random);
-            assert!(i.candidates.is_empty());
-            // Random splits always separate.
-            assert!(i.left.n() > 0 && i.right.n() > 0);
-        } else {
-            panic!("expected split at root");
-        }
+        let store = build(&d, d.all_row_ids(), 3, &c);
+        let root = store.node(0);
+        let [left, right] = root.children().expect("expected split at root");
+        assert!(root.is_random());
+        assert!(root.candidates().is_empty());
+        // Random splits always separate.
+        assert!(left.n() > 0 && right.n() > 0);
     }
 
     #[test]
@@ -492,14 +529,12 @@ mod tests {
         let pure_ids: Vec<u32> = (0..d.num_rows() as u32)
             .filter(|&r| d.label(r as usize))
             .collect();
-        let root = build(&d, pure_ids.clone(), 4, &cfg());
-        match root {
-            Node::Leaf(l) => {
-                assert_eq!(l.ids, pure_ids);
-                assert_eq!(l.proba(), 1.0);
-            }
-            _ => panic!("pure node must be a leaf"),
-        }
+        let store = build(&d, pure_ids.clone(), 4, &cfg());
+        let root = store.node(0);
+        assert!(root.is_leaf(), "pure node must be a leaf");
+        assert_eq!(root.ids(), &pure_ids[..]);
+        assert_eq!(root.proba(), 1.0);
+        assert_eq!(store.hot[0].kids, [0, 0], "a leaf points at itself");
     }
 
     #[test]
@@ -507,8 +542,8 @@ mod tests {
         let d = xor_data();
         let mut c = cfg();
         c.max_depth = 0;
-        let root = build(&d, d.all_row_ids(), 5, &c);
-        assert!(matches!(root, Node::Leaf(_)));
+        let store = build(&d, d.all_row_ids(), 5, &c);
+        assert!(store.node(0).is_leaf());
     }
 
     #[test]
@@ -555,7 +590,7 @@ mod tests {
 
         let del: Vec<u32> = vec![1, 2, 3, 10, 17, 40, 41, 63];
         for c in &mut pool {
-            *c = Candidate { n_left: 1000, n_left_pos: 1000, ..c.clone() };
+            *c = Candidate { n_left: 1000, n_left_pos: 1000, ..*c };
         }
         b.count_delta(&mut pool, &del, |c, [n, p]| {
             c.n_left -= n;
@@ -578,14 +613,14 @@ mod tests {
         let d = xor_data();
         let mut c = cfg();
         c.min_samples_leaf = 8;
-        let root = build(&d, d.all_row_ids(), 7, &c);
-        fn check(node: &Node, msl: u32) {
-            if let Node::Internal(i) = node {
-                assert!(i.left.n() >= msl && i.right.n() >= msl);
-                check(&i.left, msl);
-                check(&i.right, msl);
+        let store = build(&d, d.all_row_ids(), 7, &c);
+        fn check(node: NodeRef<'_>, msl: u32) {
+            if let Some([left, right]) = node.children() {
+                assert!(left.n() >= msl && right.n() >= msl);
+                check(left, msl);
+                check(right, msl);
             }
         }
-        check(&root, 8);
+        check(store.node(0), 8);
     }
 }

@@ -2,14 +2,15 @@
 //!
 //! The journal/rollback engine trades a full forest clone for an undo
 //! log, which makes its correctness *load-bearing*: a single missed
-//! [`UndoRecord`](crate::journal::UndoRecord) silently corrupts every ρ
-//! score computed after the bad rollback. This module wires
+//! [record](crate::journal) silently corrupts every ρ score computed
+//! after the bad rollback. This module wires
 //! [`validate::validate_forest`](crate::validate::validate_forest) into
 //! the mutation hot path as an opt-in gate: with the `FUME_DEEPCHECK`
 //! environment variable set to `1` (or `true`), debug and test builds
-//! re-validate the full forest after every journaled delete and every
-//! rollback, panicking with the violation list on the first
-//! inconsistency.
+//! re-validate the full forest — cached statistics and the hot array the
+//! kernel reads — after every journaled delete and every rollback, and
+//! check every full prediction pass bitwise against the reference walk,
+//! panicking on the first inconsistency.
 //!
 //! Release builds compile the check to a no-op regardless of the
 //! environment, so production attribution runs pay nothing.

@@ -62,11 +62,11 @@ mod tests {
     fn all_nodes_are_random() {
         let (data, _) = planted_toy().generate_scaled(0.2, 51).unwrap();
         let f = ExtraForest::fit(&data, DareConfig::small(51));
-        fn assert_random(node: &crate::node::Node) {
-            if let crate::node::Node::Internal(i) = node {
-                assert!(i.is_random);
-                assert_random(&i.left);
-                assert_random(&i.right);
+        fn assert_random(node: crate::node::NodeRef<'_>) {
+            if let Some([left, right]) = node.children() {
+                assert!(node.is_random());
+                assert_random(left);
+                assert_random(right);
             }
         }
         for t in f.as_dare().trees() {

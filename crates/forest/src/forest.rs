@@ -13,6 +13,7 @@ use crate::config::DareConfig;
 use crate::delete::DeleteReport;
 use crate::insert::InsertReport;
 use crate::journal::{TreeUndo, UndoJournal};
+use crate::plan::HotTree;
 use crate::tree::DareTree;
 
 /// A random forest classifier with exact unlearning (DaRE-RF).
@@ -264,20 +265,21 @@ impl DareForest {
         acc / self.trees.len() as f64
     }
 
-    /// The reference full prediction pass: the direct pointer walk over
-    /// every tree for every row, accumulate then divide. This is the
-    /// float-order contract every fast path must reproduce bitwise — the
-    /// [`PredictPlan`](crate::plan::PredictPlan) kernel is cross-checked
-    /// against it under `FUME_DEEPCHECK=1`, and `predict_kernel` benches
-    /// measure its speedup relative to this walk.
-    pub fn predict_proba_pointer(&self, data: &Dataset) -> Vec<f64> {
-        let mut acc = vec![0.0f64; data.num_rows()];
+    /// The reference full prediction pass: the branching walk
+    /// ([`NodeRef::predict_row`](crate::node::NodeRef::predict_row)) over
+    /// every tree for every row, each leaf's vote recomputed from its
+    /// counts, accumulate then divide. This is the float-order contract
+    /// the kernel must reproduce bitwise. No library path calls it: tests,
+    /// `FUME_DEEPCHECK=1` and `benches/predict_kernel.rs` compare
+    /// [`Classifier::predict_proba`] against it.
+    pub fn predict_proba_reference(&self, data: &Dataset) -> Vec<f64> {
         if self.trees.is_empty() {
             return vec![0.5; data.num_rows()];
         }
+        let mut acc = vec![0.0f64; data.num_rows()];
         for tree in &self.trees {
             for (row, slot) in acc.iter_mut().enumerate() {
-                *slot += tree.predict_row(data, row);
+                *slot += tree.root().predict_row(data, row);
             }
         }
         let k = self.trees.len() as f64;
@@ -304,27 +306,20 @@ impl DareForest {
 }
 
 impl Classifier for DareForest {
-    /// Average of per-tree leaf probabilities. Passes over at least
-    /// [`PLAN_FULL_PASS_MIN_ROWS`](crate::plan::PLAN_FULL_PASS_MIN_ROWS)
-    /// rows compile a throwaway [`PredictPlan`](crate::plan::PredictPlan)
-    /// and run its blocked kernel; smaller passes (and the empty
-    /// ensemble) take [`Self::predict_proba_pointer`]. Both paths are
-    /// bitwise identical — callers that hold the forest across many
-    /// passes should compile a plan once instead of paying the implicit
-    /// recompile here.
+    /// Average of per-tree leaf probabilities, by the blocked kernel of
+    /// [`plan`](crate::plan) over every tree's live hot array — one path
+    /// for every pass size. Under `FUME_DEEPCHECK=1` each pass is also
+    /// checked bitwise against [`Self::predict_proba_reference`].
     fn predict_proba(&self, data: &Dataset) -> Vec<f64> {
-        if self.trees.is_empty() || data.num_rows() < crate::plan::PLAN_FULL_PASS_MIN_ROWS {
-            return self.predict_proba_pointer(data);
-        }
-        let plan = crate::plan::PredictPlan::compile(self);
         let mut out = vec![0.0f64; data.num_rows()];
-        plan.predict_into(data, &mut out);
+        let trees: Vec<HotTree<'_>> = self.trees.iter().map(DareTree::hot_tree).collect();
+        crate::plan::predict_into(&trees, data, &mut out);
         if crate::deepcheck::enabled() {
-            let reference = self.predict_proba_pointer(data);
+            let reference = self.predict_proba_reference(data);
             for (row, (a, b)) in out.iter().zip(&reference).enumerate() {
                 assert!(
                     a.to_bits() == b.to_bits(),
-                    "FUME_DEEPCHECK: plan prediction diverged from the pointer walk at row {row}"
+                    "FUME_DEEPCHECK: kernel prediction diverged from the reference walk at row {row}"
                 );
             }
         }

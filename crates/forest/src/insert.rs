@@ -18,12 +18,14 @@
 //! structure, are re-checked exactly.
 
 use fume_tabular::cast::row_u32;
-use fume_tabular::rng::StdRng;
 use fume_tabular::Dataset;
 
-use crate::builder::TreeBuilder;
+use crate::builder::{candidate_valid, TreeBuilder};
 use crate::config::DareConfig;
-use crate::node::{Internal, Node};
+use crate::delete::greedy_split_beaten;
+use crate::journal::Link;
+use crate::node::{slot_u32, NodeStore};
+use crate::tree::{DareTree, Scratch};
 
 /// Counters describing what one insertion did to a tree.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -50,23 +52,32 @@ fn leaf_should_split(n: u32, n_pos: u32, depth: usize, cfg: &DareConfig) -> bool
     n >= cfg.min_samples_split && n_pos > 0 && n_pos < n && depth < cfg.max_depth
 }
 
-/// Inserts the sorted id set `ins` into the tree rooted at `root`.
+/// Inserts the sorted id set `ins` into `tree`.
 pub(crate) fn insert_into_tree(
-    root: &mut Node,
+    tree: &mut DareTree,
     ins: &[u32],
     data: &Dataset,
-    rng: &mut StdRng,
     cfg: &DareConfig,
 ) -> InsertReport {
+    let mut scratch = std::mem::take(&mut tree.scratch);
+    scratch.batch.clear();
+    scratch.batch.extend_from_slice(ins);
+    let Scratch { build, batch, ids, .. } = &mut scratch;
     let mut pass = InsertPass {
-        builder: TreeBuilder::new(data, cfg),
+        builder: TreeBuilder::with_buffers(data, cfg, std::mem::take(build)),
         cfg,
-        rng,
+        tree: &mut *tree,
         report: InsertReport::default(),
-        ids: Vec::new(),
+        ids,
     };
-    pass.insert(root, &mut ins.to_vec(), 0);
-    pass.report
+    let root = pass.tree.root;
+    pass.insert(root, batch, 0, Link::Root);
+    let deepest = pass.builder.deepest();
+    *build = pass.builder.into_buffers();
+    let report = pass.report;
+    tree.steps = tree.steps.max(deepest);
+    tree.scratch = scratch;
+    report
 }
 
 /// One top-down insertion pass over a tree.
@@ -75,97 +86,104 @@ struct InsertPass<'a> {
     /// histograms it per candidate run.
     builder: TreeBuilder<'a>,
     cfg: &'a DareConfig,
-    rng: &'a mut StdRng,
+    tree: &'a mut DareTree,
     report: InsertReport,
     /// Ids of the subtree being rebuilt.
-    ids: Vec<u32>,
+    ids: &'a mut Vec<u32>,
 }
 
 impl InsertPass<'_> {
-    /// Inserts `ins` into the subtree rooted at `node`, which sits at
-    /// `depth`. Reorders `ins` (stable partitions).
-    fn insert(&mut self, node: &mut Node, ins: &mut [u32], depth: usize) {
+    /// Inserts `ins` into the subtree at `slot`, which sits at `depth` and
+    /// hangs from `link`. Reorders `ins` (stable partitions).
+    fn insert(&mut self, slot: u32, ins: &mut [u32], depth: usize, link: Link) {
         if ins.is_empty() {
             return;
         }
         let cfg = self.cfg;
         let labels = self.builder.data().labels();
         let ins_pos = row_u32(ins.iter().filter(|&&id| labels[id as usize]).count());
+        let store = &mut self.tree.store;
+        let cold = store.cold[slot as usize];
 
-        match node {
-            Node::Leaf(leaf) => {
-                leaf.ids.extend_from_slice(ins);
-                leaf.n_pos += ins_pos;
-                let (n, n_pos) = (row_u32(leaf.ids.len()), leaf.n_pos);
-                if leaf_should_split(n, n_pos, depth, cfg) {
-                    let mut ids = std::mem::take(&mut leaf.ids);
-                    *node = self.builder.build(&mut ids, depth, self.rng);
-                    let grew = matches!(node, Node::Internal(_));
-                    self.report.subtrees_rebuilt += usize::from(grew);
-                    self.report.leaves_updated += usize::from(!grew);
-                } else {
-                    self.report.leaves_updated += 1;
+        if store.is_leaf(slot) {
+            let (n, n_pos) = (cold.n + row_u32(ins.len()), cold.n_pos + ins_pos);
+            if leaf_should_split(n, n_pos, depth, cfg) {
+                // Rebuild from the leaf's ids followed by `ins`.
+                self.ids.clear();
+                self.ids.extend_from_slice(store.leaf_ids(slot));
+                self.ids.extend_from_slice(ins);
+                let rebuilt = self.rebuild(depth, link, 1);
+                let grew = !self.tree.store.is_leaf(rebuilt);
+                self.report.subtrees_rebuilt += usize::from(grew);
+                self.report.leaves_updated += usize::from(!grew);
+            } else {
+                // The ids grow in place at the end of the array; a leaf
+                // anywhere else moves its range there first.
+                let end = (cold.lo + cold.len) as usize;
+                if end != store.ids.len() {
+                    let lo = slot_u32(store.ids.len());
+                    store.ids.extend_from_within(cold.lo as usize..end);
+                    store.cold[slot as usize].lo = lo;
                 }
+                store.ids.extend_from_slice(ins);
+                store.set_leaf_counts(slot, n, n_pos);
+                self.report.leaves_updated += 1;
             }
-            Node::Internal(internal) => {
-                internal.n += row_u32(ins.len());
-                internal.n_pos += ins_pos;
-                self.report.nodes_updated += 1;
+            return;
+        }
 
-                if !internal.is_random {
-                    self.builder.count_delta(&mut internal.candidates, ins, |c, [n, p]| {
-                        c.n_left += n;
-                        c.n_left_pos += p;
-                    });
-                    if greedy_split_beaten_after_insert(internal, cfg) {
-                        // Rebuild from the subtree's ids followed by `ins`,
-                        // which this node has not partitioned yet.
-                        self.ids.clear();
-                        internal.left.collect_ids(&mut self.ids);
-                        internal.right.collect_ids(&mut self.ids);
-                        self.ids.extend_from_slice(ins);
-                        *node = self.builder.build(&mut self.ids, depth, self.rng);
-                        self.report.subtrees_rebuilt += 1;
-                        return;
-                    }
-                }
+        let node = &mut store.cold[slot as usize];
+        node.n += row_u32(ins.len());
+        node.n_pos += ins_pos;
+        self.report.nodes_updated += 1;
+        let hot = store.hot[slot as usize];
+        let [left, right] = hot.kids;
 
-                let n_left = self.builder.partition(ins, internal.attr, internal.threshold);
-                let (ins_left, ins_right) = ins.split_at_mut(n_left);
-                self.insert(&mut internal.left, ins_left, depth + 1);
-                self.insert(&mut internal.right, ins_right, depth + 1);
+        if !cold.random {
+            self.builder.count_delta(store.pool_mut(slot), ins, |c, [n, p]| {
+                c.n_left += n;
+                c.n_left_pos += p;
+            });
+            if greedy_split_beaten_after_insert(store, slot, cfg) {
+                // Rebuild from the subtree's ids followed by `ins`, which
+                // this node has not partitioned yet.
+                self.ids.clear();
+                store.collect_ids(left, self.ids);
+                store.collect_ids(right, self.ids);
+                self.ids.extend_from_slice(ins);
+                let displaced = slot_u32(store.node(slot).size());
+                self.rebuild(depth, link, displaced);
+                self.report.subtrees_rebuilt += 1;
+                return;
             }
         }
+
+        let n_left = self.builder.partition(ins, hot.attr, hot.threshold);
+        let (ins_left, ins_right) = ins.split_at_mut(n_left);
+        self.insert(left, ins_left, depth + 1, Link::Child { parent: slot, right: false });
+        self.insert(right, ins_right, depth + 1, Link::Child { parent: slot, right: true });
+    }
+
+    /// Appends a subtree built from `self.ids`, hangs it from `link` in
+    /// place of a subtree of `displaced` slots, and returns its root.
+    fn rebuild(&mut self, depth: usize, link: Link, displaced: u32) -> u32 {
+        let tree = &mut *self.tree;
+        let rebuilt = self.builder.build(&mut tree.store, self.ids, depth, &mut tree.rng);
+        tree.relink(link, rebuilt);
+        tree.orphans += displaced;
+        rebuilt
     }
 }
 
-fn greedy_split_beaten_after_insert(internal: &Internal, cfg: &DareConfig) -> bool {
-    use crate::builder::{best_candidate, candidate_valid, GAIN_EPS};
-    use crate::gini::gini_gain;
-    let chosen = &internal.candidates[internal.chosen as usize];
-    if !candidate_valid(chosen, internal.n, cfg) {
+fn greedy_split_beaten_after_insert(store: &NodeStore, slot: u32, cfg: &DareConfig) -> bool {
+    let cold = store.cold[slot as usize];
+    if !candidate_valid(&store.pool(slot)[cold.chosen as usize], cold.n, cfg) {
         // Insertion only grows counts, but a chosen candidate can violate
         // the leaf minimum transiently if min_samples_leaf semantics
         // change; treat defensively.
         return true;
     }
-    let chosen_gain =
-        gini_gain(internal.n, internal.n_pos, chosen.n_left, chosen.n_left_pos);
-    match best_candidate(&internal.candidates, internal.n, internal.n_pos, cfg) {
-        None => true,
-        Some(best) => {
-            let b = &internal.candidates[best];
-            gini_gain(internal.n, internal.n_pos, b.n_left, b.n_left_pos)
-                > chosen_gain + GAIN_EPS
-        }
-    }
-}
-
-/// Dedicated leaf used when a forest is fitted on zero rows and instances
-/// arrive later.
-#[cfg(test)]
-pub(crate) fn empty_leaf() -> Node {
-    Node::Leaf(crate::node::Leaf { ids: Vec::new(), n_pos: 0 })
+    greedy_split_beaten(store, slot, cfg)
 }
 
 #[cfg(test)]
@@ -206,10 +224,14 @@ mod tests {
         let seed_ids: Vec<u32> = (0..4).collect();
         let mut tree = DareTree::fit(&data, seed_ids, &cfg(), 72);
         let depth_before = tree.root().depth();
+        let slots_before = tree.store().len();
         let rest: Vec<u32> = (4..data.num_rows() as u32).collect();
         let report = tree.insert(&rest, &data, &cfg());
         assert!(report.subtrees_rebuilt > 0, "growth must split leaves");
         assert!(tree.root().depth() >= depth_before);
+        assert!(tree.store().len() > slots_before);
+        let live = tree.root().size();
+        assert!(tree.store().len() - live <= live, "displaced slots never outnumber live ones");
         let v = validate_tree(&tree, &data, &cfg());
         assert!(v.is_empty(), "{v:?}");
     }
@@ -232,10 +254,12 @@ mod tests {
     #[test]
     fn empty_leaf_accepts_first_instances() {
         let (data, _) = planted_toy().generate_scaled(0.1, 74).unwrap();
-        let mut node = empty_leaf();
-        let mut rng = fume_tabular::rng::SeedableRng::seed_from_u64(74);
+        let mut tree = DareTree::fit(&data, Vec::new(), &cfg(), 74);
+        assert!(tree.root().is_leaf());
         let ids: Vec<u32> = (0..40).collect();
-        insert_into_tree(&mut node, &ids, &data, &mut rng, &cfg());
-        assert_eq!(node.n(), 40);
+        tree.insert(&ids, &data, &cfg());
+        assert_eq!(tree.num_instances(), 40);
+        let v = validate_tree(&tree, &data, &cfg());
+        assert!(v.is_empty(), "{v:?}");
     }
 }

@@ -7,243 +7,150 @@
 //! full model; DaRE deletion itself only touches the nodes a deleted row
 //! reaches. The journal confines the *evaluation* to the same footprint:
 //! delete into a long-lived scratch forest while recording undo state,
-//! measure, then [`DareTree::rollback`](crate::tree::DareTree::rollback)
-//! — restoring node statistics, leaf instance lists, candidate pools,
-//! retrained subtrees, and the tree's RNG stream exactly.
+//! measure, then [`DareTree::rollback`](crate::tree::DareTree::rollback).
 //!
-//! Invariants:
-//! * records are replayed in **reverse** order, so a node that was first
-//!   updated in place and later replaced wholesale is restored correctly
-//!   (the subtree swap first, then the in-place statistics on top);
-//! * paths stay valid because deletion never restructures a node above a
-//!   recorded mutation — a subtree rebuild terminates the recursion, so
-//!   no record ever points below a replaced node;
-//! * the RNG state is snapshotted before the delete, because subtree
-//!   rebuilds and candidate replenishment consume the tree's stream.
+//! The journal is a flat log of fixed-size records addressed by slot,
+//! plus three side buffers the records index into: the leaf ids and the
+//! candidate statistics and pools the delete overwrote in place. Nothing
+//! else needs saving, because the [node store](crate::node) never moves a
+//! node: a subtree rebuild appends the new subtree and repoints one child
+//! slot, so the displaced subtree is still intact in the arrays. Rollback
+//! replays the log in **reverse** — a node first updated in place and
+//! later displaced gets its link back before its statistics — then
+//! truncates every array to its pre-delete length and restores the
+//! tree's RNG stream, which rebuilds and replenishment consume. The
+//! buffers then go back to the tree for its next journaled delete, so a
+//! warm scratch forest journals without allocating.
 
-use crate::node::{Candidate, Internal, Leaf, Node};
 use fume_tabular::rng::StdRng;
 
-/// Address of a node as a left(0)/right(1) bit path from the root.
-/// Journaled trees must therefore be shallower than 64 levels — far above
-/// any configurable [`DareConfig::max_depth`](crate::DareConfig).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct NodePath {
-    bits: u64,
-    depth: u8,
-}
+use crate::node::{Candidate, Cold, Lens};
 
-impl NodePath {
-    /// The root of the tree.
-    pub const ROOT: NodePath = NodePath { bits: 0, depth: 0 };
-
-    /// The path one step down from `self`.
-    pub fn child(self, right: bool) -> NodePath {
-        assert!(self.depth < 64, "journaled trees must be shallower than 64 levels");
-        NodePath {
-            bits: self.bits | (u64::from(right) << self.depth),
-            depth: self.depth + 1,
-        }
-    }
-
-    /// Whether this node lies in the subtree rooted at `ancestor`, i.e.
-    /// `ancestor`'s bit path is a prefix of this one (every node is its
-    /// own ancestor). The routing index uses this to map a `Subtree`
-    /// undo record to the cached leaf addresses it invalidates.
-    pub fn descends_from(self, ancestor: NodePath) -> bool {
-        // `child` permits depths up to 64, so the prefix mask must not
-        // shift by the full word width.
-        let mask = if ancestor.depth >= 64 {
-            u64::MAX
-        } else {
-            (1u64 << ancestor.depth) - 1
-        };
-        ancestor.depth <= self.depth && (self.bits & mask) == ancestor.bits
-    }
-
-    /// Number of steps from the root (the root itself has depth 0).
-    pub(crate) fn depth(self) -> u8 {
-        self.depth
-    }
-
-    /// Descends from `root` along this path (shared-reference twin of
-    /// [`Self::locate_mut`], for read-only lookups like
-    /// [`DareTree::proba_at`](crate::DareTree::proba_at)).
-    pub(crate) fn locate(self, root: &Node) -> &Node {
-        let mut node = root;
-        for i in 0..self.depth {
-            let right = self.bits >> i & 1 == 1;
-            node = match node {
-                Node::Internal(internal) => {
-                    if right {
-                        &internal.right
-                    } else {
-                        &internal.left
-                    }
-                }
-                // fume-lint: allow(F001) -- path invariant: see locate_mut
-                Node::Leaf(_) => unreachable!("journal path descends through a leaf"),
-            };
-        }
-        node
-    }
-
-    /// Descends from `root` along this path.
-    fn locate_mut(self, root: &mut Node) -> &mut Node {
-        let mut node = root;
-        for i in 0..self.depth {
-            let right = self.bits >> i & 1 == 1;
-            node = match node {
-                Node::Internal(internal) => {
-                    if right {
-                        &mut internal.right
-                    } else {
-                        &mut internal.left
-                    }
-                }
-                // fume-lint: allow(F001) -- path invariant: NodePath bits are recorded while descending this same tree, and structural records are replayed in reverse order, so every prefix resolves to the internal node it was recorded at
-                Node::Leaf(_) => unreachable!("journal path descends through a leaf"),
-            };
-        }
-        node
-    }
+/// Where a subtree hangs: the tree's root, or one child slot of a
+/// decision node.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Link {
+    /// The tree's root.
+    Root,
+    /// Child `right` (0 left, 1 right) of the decision node at `parent`.
+    Child {
+        /// The decision node's slot.
+        parent: u32,
+        /// Which child.
+        right: bool,
+    },
 }
 
 /// One reversible mutation performed by a journaled deletion.
-#[derive(Debug, Clone)]
-pub(crate) enum UndoRecord {
-    /// A leaf's instance list was edited: the pre-delete list and count.
-    Leaf {
-        /// Where the leaf sits.
-        path: NodePath,
-        /// Pre-delete instance ids.
-        ids: Vec<u32>,
-        /// Pre-delete positive count.
-        n_pos: u32,
-    },
-    /// A decision node's statistics were updated in place: the pre-delete
-    /// scalars plus each cached candidate's `(n_left, n_left_pos)` pair
-    /// (attribute/threshold are untouched by in-place updates, so only
-    /// the counts are saved).
-    InternalStats {
-        /// Where the node sits.
-        path: NodePath,
-        /// Pre-delete instance count.
-        n: u32,
-        /// Pre-delete positive count.
-        n_pos: u32,
-        /// Pre-delete `(n_left, n_left_pos)` per cached candidate.
-        cand_stats: Vec<(u32, u32)>,
-    },
-    /// The candidate pool was restructured (replenishment): the full
-    /// pre-replenish pool and chosen index.
-    Candidates {
-        /// Where the node sits.
-        path: NodePath,
-        /// Pre-replenish candidate pool.
-        candidates: Vec<Candidate>,
-        /// Pre-replenish chosen index.
-        chosen: u32,
-    },
-    /// A whole subtree was rebuilt: the displaced subtree, moved (not
-    /// cloned) out of the tree when the rebuild replaced it.
-    Subtree {
-        /// Where the subtree was rooted.
-        path: NodePath,
-        /// The displaced subtree.
-        node: Node,
-    },
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Record {
+    /// A leaf's ids were filtered in place: its pre-delete counts, and
+    /// its pre-delete ids saved at `ids[at..at + n]`.
+    Leaf { slot: u32, n: u32, n_pos: u32, at: u32 },
+    /// A decision node's counts were updated in place: its pre-delete
+    /// counts, and its pool's `(n_left, n_left_pos)` pairs saved at
+    /// `stats[at..at + len]` (attribute and threshold never change in
+    /// place).
+    Stats { slot: u32, n: u32, n_pos: u32, at: u32, len: u32 },
+    /// A greedy node's pool was restructured by replenishment: the
+    /// pre-replenish pool saved at `pools[at..at + len]` and its chosen
+    /// index. Replenishment never grows a pool, so it stays in its range.
+    Pool { slot: u32, len: u32, chosen: u32, at: u32 },
+    /// A subtree was rebuilt: `link` pointed at `old`, which stays intact
+    /// until the rollback truncates the rebuild away.
+    Relink { link: Link, old: u32 },
 }
 
-impl UndoRecord {
+/// The records of one journaled deletion on one tree and the side
+/// buffers they index.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct UndoLog {
+    pub(crate) records: Vec<Record>,
+    ids: Vec<u32>,
+    stats: Vec<(u32, u32)>,
+    pools: Vec<Candidate>,
+}
+
+impl UndoLog {
+    /// Empties the log, keeping its capacity.
+    pub(crate) fn clear(&mut self) {
+        self.records.clear();
+        self.ids.clear();
+        self.stats.clear();
+        self.pools.clear();
+    }
+
+    /// Records a leaf's pre-delete counts and ids.
+    pub(crate) fn leaf(&mut self, slot: u32, cold: Cold, ids: &[u32]) {
+        let at = crate::node::slot_u32(self.ids.len());
+        self.ids.extend_from_slice(ids);
+        self.records.push(Record::Leaf { slot, n: cold.n, n_pos: cold.n_pos, at });
+    }
+
+    /// Records a decision node's pre-delete counts and pool statistics.
+    pub(crate) fn stats(&mut self, slot: u32, cold: Cold, pool: &[Candidate]) {
+        let at = crate::node::slot_u32(self.stats.len());
+        self.stats.extend(pool.iter().map(|c| (c.n_left, c.n_left_pos)));
+        self.records.push(Record::Stats { slot, n: cold.n, n_pos: cold.n_pos, at, len: cold.len });
+    }
+
+    /// Records a greedy node's whole pool before replenishment.
+    pub(crate) fn pool(&mut self, slot: u32, cold: Cold, pool: &[Candidate]) {
+        let at = crate::node::slot_u32(self.pools.len());
+        self.pools.extend_from_slice(pool);
+        self.records.push(Record::Pool { slot, len: cold.len, chosen: cold.chosen, at });
+    }
+
+    /// Records that `link` pointed at `old` before a rebuild.
+    pub(crate) fn relink(&mut self, link: Link, old: u32) {
+        self.records.push(Record::Relink { link, old });
+    }
+
+    /// Saved leaf ids.
+    pub(crate) fn saved_ids(&self, at: u32, n: u32) -> &[u32] {
+        &self.ids[at as usize..(at + n) as usize]
+    }
+
+    /// Saved pool statistics.
+    pub(crate) fn saved_stats(&self, at: u32, len: u32) -> &[(u32, u32)] {
+        &self.stats[at as usize..(at + len) as usize]
+    }
+
+    /// Saved pools.
+    pub(crate) fn saved_pool(&self, at: u32, len: u32) -> &[Candidate] {
+        &self.pools[at as usize..(at + len) as usize]
+    }
+
     fn approx_bytes(&self) -> usize {
         use std::mem::size_of;
-        size_of::<Self>()
-            + match self {
-                Self::Leaf { ids, .. } => ids.len() * size_of::<u32>(),
-                Self::InternalStats { cand_stats, .. } => {
-                    cand_stats.len() * size_of::<(u32, u32)>()
-                }
-                Self::Candidates { candidates, .. } => {
-                    candidates.len() * size_of::<Candidate>()
-                }
-                Self::Subtree { node, .. } => node.size() * size_of::<Internal>(),
-            }
+        self.records.len() * size_of::<Record>()
+            + self.ids.len() * size_of::<u32>()
+            + self.stats.len() * size_of::<(u32, u32)>()
+            + self.pools.len() * size_of::<Candidate>()
     }
 }
 
-/// Where a deletion pass sends its undo records: nowhere (the plain
-/// destructive delete) or into a growing journal.
-#[derive(Debug)]
-pub(crate) enum JournalSink {
-    /// Plain delete — mutations are not recorded.
-    Off,
-    /// Journaled delete — every mutation pushes an [`UndoRecord`].
-    On(Vec<UndoRecord>),
-}
-
-impl JournalSink {
-    /// Records a leaf's pre-delete state.
-    pub(crate) fn record_leaf(&mut self, path: NodePath, leaf: &Leaf) {
-        if let Self::On(records) = self {
-            records.push(UndoRecord::Leaf {
-                path,
-                ids: leaf.ids.clone(),
-                n_pos: leaf.n_pos,
-            });
-        }
-    }
-
-    /// Records a decision node's pre-delete scalar/candidate statistics.
-    pub(crate) fn record_internal_stats(&mut self, path: NodePath, internal: &Internal) {
-        if let Self::On(records) = self {
-            records.push(UndoRecord::InternalStats {
-                path,
-                n: internal.n,
-                n_pos: internal.n_pos,
-                cand_stats: internal.candidate_stats(),
-            });
-        }
-    }
-
-    /// Records the full candidate pool before replenishment restructures
-    /// it.
-    pub(crate) fn record_candidates(&mut self, path: NodePath, internal: &Internal) {
-        if let Self::On(records) = self {
-            records.push(UndoRecord::Candidates {
-                path,
-                candidates: internal.candidates.clone(),
-                chosen: internal.chosen,
-            });
-        }
-    }
-
-    /// Replaces `*node` with `new`, journaling the displaced subtree by
-    /// move (the journaled path never clones what it can steal).
-    pub(crate) fn replace_subtree(&mut self, path: NodePath, node: &mut Node, new: Node) {
-        match self {
-            Self::Off => *node = new,
-            Self::On(records) => {
-                let old = std::mem::replace(node, new);
-                records.push(UndoRecord::Subtree { path, node: old });
-            }
-        }
-    }
-
-    /// Consumes the sink, yielding the recorded undo log.
-    pub(crate) fn into_records(self) -> Vec<UndoRecord> {
-        match self {
-            Self::Off => Vec::new(),
-            Self::On(records) => records,
-        }
-    }
+/// The tree-level state a journaled delete changes besides its nodes,
+/// restored wholesale by a rollback.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Header {
+    /// Array lengths before the delete: everything past them was appended
+    /// by rebuilds.
+    pub(crate) lens: Lens,
+    /// Root slot.
+    pub(crate) root: u32,
+    /// The kernel's step count.
+    pub(crate) steps: u32,
+    /// Displaced slots.
+    pub(crate) orphans: u32,
 }
 
 /// The undo log of one journaled deletion on one tree.
 #[derive(Debug, Clone)]
 #[must_use = "dropping an undo log forfeits the only way to roll the tree back"]
 pub struct TreeUndo {
-    pub(crate) records: Vec<UndoRecord>,
+    pub(crate) log: UndoLog,
+    pub(crate) header: Header,
     /// The tree's RNG state before the delete consumed it.
     pub(crate) rng: StdRng,
 }
@@ -251,63 +158,19 @@ pub struct TreeUndo {
 impl TreeUndo {
     /// Number of recorded node mutations.
     pub fn len(&self) -> usize {
-        self.records.len()
+        self.log.records.len()
     }
 
     /// Whether the deletion mutated nothing.
     pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
+        self.log.records.is_empty()
     }
 
-    /// Rough journal footprint in bytes (records plus their heap
-    /// payloads).
+    /// Rough journal footprint in bytes (the record log plus the saved
+    /// ids, statistics and pools).
     pub fn approx_bytes(&self) -> usize {
-        std::mem::size_of::<Self>()
-            + self.records.iter().map(UndoRecord::approx_bytes).sum::<usize>()
+        std::mem::size_of::<Self>() + self.log.approx_bytes()
     }
-}
-
-/// Replays `records` in reverse against `root`, restoring the pre-delete
-/// tree. Returns the number of node restorations applied.
-pub(crate) fn rollback_records(root: &mut Node, records: Vec<UndoRecord>) -> usize {
-    let restored = records.len();
-    for record in records.into_iter().rev() {
-        match record {
-            UndoRecord::Leaf { path, ids, n_pos } => match path.locate_mut(root) {
-                Node::Leaf(leaf) => {
-                    leaf.ids = ids;
-                    leaf.n_pos = n_pos;
-                }
-                // fume-lint: allow(F001) -- record-kind invariant: a Leaf record is only emitted for a node that was a leaf, and later Subtree restores cannot change a node's kind before its own record replays
-                Node::Internal(_) => unreachable!("leaf record points at a decision node"),
-            },
-            UndoRecord::InternalStats { path, n, n_pos, cand_stats } => {
-                match path.locate_mut(root) {
-                    Node::Internal(internal) => {
-                        internal.n = n;
-                        internal.n_pos = n_pos;
-                        internal.restore_candidate_stats(&cand_stats);
-                    }
-                    // fume-lint: allow(F001) -- record-kind invariant: InternalStats records are emitted only at internal nodes, and reverse-order replay restores structure before stats
-                    Node::Leaf(_) => unreachable!("stats record points at a leaf"),
-                }
-            }
-            UndoRecord::Candidates { path, candidates, chosen } => {
-                match path.locate_mut(root) {
-                    Node::Internal(internal) => {
-                        internal.candidates = candidates;
-                        internal.chosen = chosen;
-                    }
-                    // fume-lint: allow(F001) -- record-kind invariant: Candidates records are emitted only at greedy internal nodes, preserved by reverse-order replay
-                    Node::Leaf(_) => unreachable!("candidate record points at a leaf"),
-                }
-            }
-            UndoRecord::Subtree { path, node } => {
-                *path.locate_mut(root) = node;
-            }
-        }
-    }
-    restored
 }
 
 /// The undo log of one journaled deletion across a whole forest:
@@ -355,97 +218,26 @@ mod tests {
     use super::*;
 
     #[test]
-    fn paths_address_children_uniquely() {
-        let root = NodePath::ROOT;
-        let l = root.child(false);
-        let r = root.child(true);
-        assert_ne!(l, r);
-        assert_ne!(l.child(true), r.child(false));
-        // Left-left and left differ by depth even though the bits agree.
-        assert_ne!(l, l.child(false));
-    }
-
-    #[test]
-    fn descendance_is_prefix_matching() {
-        let root = NodePath::ROOT;
-        let l = root.child(false);
-        let lr = l.child(true);
-        let r = root.child(true);
-        assert!(lr.descends_from(root));
-        assert!(lr.descends_from(l));
-        assert!(lr.descends_from(lr), "every node is its own ancestor");
-        assert!(!lr.descends_from(r));
-        assert!(!l.descends_from(lr), "ancestry is not symmetric");
-        // Same bits, shallower depth: left-left descends from left, and a
-        // right branch below does not leak into the left prefix.
-        assert!(l.child(false).descends_from(l));
-        assert!(!r.child(false).descends_from(l));
-        // Deep chains exercise the mask at high depths.
-        let mut deep = root;
-        for i in 0..63 {
-            deep = deep.child(i % 2 == 0);
-        }
-        assert!(deep.descends_from(root));
-        assert!(deep.child(true).descends_from(deep));
-    }
-
-    #[test]
-    fn locate_walks_the_recorded_path() {
-        let leaf = |ids: Vec<u32>| Node::Leaf(Leaf { n_pos: 0, ids });
-        let mut tree = Node::Internal(Box::new(Internal {
-            attr: 0,
-            threshold: 0,
-            is_random: true,
-            n: 3,
-            n_pos: 0,
-            candidates: Vec::new(),
-            chosen: 0,
-            left: leaf(vec![0]),
-            right: Node::Internal(Box::new(Internal {
-                attr: 1,
-                threshold: 0,
-                is_random: true,
-                n: 2,
-                n_pos: 0,
-                candidates: Vec::new(),
-                chosen: 0,
-                left: leaf(vec![1]),
-                right: leaf(vec![2]),
-            })),
-        }));
-        let p = NodePath::ROOT.child(true).child(false);
-        match p.locate_mut(&mut tree) {
-            Node::Leaf(l) => assert_eq!(l.ids, vec![1]),
-            Node::Internal(_) => panic!("expected the right-left leaf"),
-        }
-    }
-
-    #[test]
-    fn sink_off_records_nothing_but_still_replaces() {
-        let mut sink = JournalSink::Off;
-        let mut node = Node::Leaf(Leaf { ids: vec![1, 2], n_pos: 1 });
-        sink.replace_subtree(
-            NodePath::ROOT,
-            &mut node,
-            Node::Leaf(Leaf { ids: vec![], n_pos: 0 }),
-        );
-        assert_eq!(node.n(), 0);
-        assert!(sink.into_records().is_empty());
-    }
-
-    #[test]
-    fn sink_on_steals_the_replaced_subtree() {
-        let mut sink = JournalSink::On(Vec::new());
-        let mut node = Node::Leaf(Leaf { ids: vec![1, 2], n_pos: 1 });
-        sink.replace_subtree(
-            NodePath::ROOT,
-            &mut node,
-            Node::Leaf(Leaf { ids: vec![], n_pos: 0 }),
-        );
-        let records = sink.into_records();
-        assert_eq!(records.len(), 1);
-        let restored = rollback_records(&mut node, records);
-        assert_eq!(restored, 1);
-        assert_eq!(node.n(), 2);
+    fn records_index_their_saved_payloads() {
+        let mut log = UndoLog::default();
+        let cold = Cold { n: 3, n_pos: 1, lo: 0, len: 2, chosen: 1, random: false };
+        let pool = [
+            Candidate { attr: 0, threshold: 1, n_left: 2, n_left_pos: 1 },
+            Candidate { attr: 1, threshold: 0, n_left: 1, n_left_pos: 0 },
+        ];
+        log.leaf(4, Cold { len: 3, ..cold }, &[7, 8, 9]);
+        log.stats(2, cold, &pool);
+        log.pool(2, cold, &pool);
+        log.relink(Link::Child { parent: 2, right: true }, 5);
+        assert_eq!(log.records.len(), 4);
+        let Record::Leaf { at, n, .. } = log.records[0] else { panic!("leaf record first") };
+        assert_eq!(log.saved_ids(at, n), &[7, 8, 9]);
+        let Record::Stats { at, len, .. } = log.records[1] else { panic!("stats record") };
+        assert_eq!(log.saved_stats(at, len), &[(2, 1), (1, 0)]);
+        let Record::Pool { at, len, chosen, .. } = log.records[2] else { panic!("pool record") };
+        assert_eq!((log.saved_pool(at, len), chosen), (&pool[..], 1));
+        assert!(log.approx_bytes() > 4 * std::mem::size_of::<Record>());
+        log.clear();
+        assert!(log.records.is_empty() && log.approx_bytes() == 0);
     }
 }

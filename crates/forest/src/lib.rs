@@ -29,10 +29,14 @@
 //! the forest byte-identically — the substrate for FUME's zero-clone
 //! scratch-forest pool (see the [`journal`] module).
 //!
-//! Full prediction passes over a deployed forest run through a
-//! [`PredictPlan`]: a read-optimized struct-of-arrays arena compiled from
-//! the pointer trees, traversed by a blocked kernel that is bitwise
-//! identical to the pointer walk (see the [`plan`] module).
+//! Every tree keeps its nodes in one [`NodeStore`]: a hot array the
+//! prediction kernel walks and a cold array unlearning updates, both
+//! indexed by slot (see the [`node`] module). A fit writes the store in
+//! preorder; a delete overwrites counts in place and appends rebuilt
+//! subtrees; a rollback replays a flat undo log and truncates; a clone is
+//! a few array copies. Full prediction passes run a blocked, 8-lane
+//! kernel over the live hot arrays, bitwise identical to the reference
+//! walk (see the [`plan`] module).
 
 #![warn(missing_docs)]
 
@@ -59,6 +63,7 @@ pub use forest::{DareForest, ForestError};
 pub use gbdt::{Gbdt, GbdtConfig};
 pub use insert::InsertReport;
 pub use journal::{TreeUndo, UndoJournal};
-pub use plan::{PredictPlan, BLOCK_ROWS, PLAN_FULL_PASS_MIN_ROWS};
+pub use node::{Candidate, NodeRef, NodeStore};
+pub use plan::{PredictPlan, BLOCK_ROWS};
 pub use routing::{DirtyRows, RoutingIndex};
 pub use tree::DareTree;

@@ -6,6 +6,11 @@
 //! cached statistics, so a reloaded forest unlearns exactly as the saved
 //! one would.
 //!
+//! Each tree is written in preorder from its root, through the
+//! [`NodeRef`] view, so a forest whose node store holds displaced slots
+//! writes the same bytes as a freshly compacted one, and a loaded tree's
+//! store is laid out as a fit lays it out.
+//!
 //! One caveat, stated loudly: the per-tree RNG **stream position** is not
 //! preserved (`StdRng` is deliberately opaque). A reloaded tree reseeds
 //! deterministically from `(config.seed, tree index, generation)`, so
@@ -21,7 +26,7 @@ use fume_tabular::cast::{code_u16, row_u32};
 
 use crate::config::{DareConfig, MaxFeatures};
 use crate::forest::DareForest;
-use crate::node::{Candidate, Internal, Leaf, Node};
+use crate::node::{Candidate, Cold, NodeRef, NodeStore};
 use crate::tree::DareTree;
 
 /// Magic header bytes.
@@ -142,38 +147,46 @@ fn decode_config(buf: &mut &[u8]) -> Result<DareConfig, PersistError> {
     })
 }
 
-fn encode_node(out: &mut Vec<u8>, node: &Node) {
-    match node {
-        Node::Leaf(l) => {
+fn encode_node(out: &mut Vec<u8>, node: NodeRef<'_>) {
+    match node.children() {
+        None => {
             out.put_u8(0);
-            out.put_u32_le(row_u32(l.ids.len()));
-            for &id in &l.ids {
+            out.put_u32_le(node.n());
+            for &id in node.ids() {
                 out.put_u32_le(id);
             }
-            out.put_u32_le(l.n_pos);
+            out.put_u32_le(node.n_pos());
         }
-        Node::Internal(i) => {
+        Some([left, right]) => {
             out.put_u8(1);
-            out.put_u16_le(i.attr);
-            out.put_u16_le(i.threshold);
-            out.put_u8(u8::from(i.is_random));
-            out.put_u32_le(i.n);
-            out.put_u32_le(i.n_pos);
-            out.put_u32_le(i.chosen);
-            out.put_u16_le(code_u16(i.candidates.len()));
-            for c in &i.candidates {
+            out.put_u16_le(node.attr());
+            out.put_u16_le(node.threshold());
+            out.put_u8(u8::from(node.is_random()));
+            out.put_u32_le(node.n());
+            out.put_u32_le(node.n_pos());
+            out.put_u32_le(node.chosen());
+            out.put_u16_le(code_u16(node.candidates().len()));
+            for c in node.candidates() {
                 out.put_u16_le(c.attr);
                 out.put_u16_le(c.threshold);
                 out.put_u32_le(c.n_left);
                 out.put_u32_le(c.n_left_pos);
             }
-            encode_node(out, &i.left);
-            encode_node(out, &i.right);
+            encode_node(out, left);
+            encode_node(out, right);
         }
     }
 }
 
-fn decode_node(buf: &mut &[u8], depth: usize) -> Result<Node, PersistError> {
+/// Decodes one node and its subtree into `store` in preorder, returning
+/// its slot. `ids` and `pool` are reusable staging buffers.
+fn decode_node(
+    buf: &mut &[u8],
+    depth: usize,
+    store: &mut NodeStore,
+    ids: &mut Vec<u32>,
+    pool: &mut Vec<Candidate>,
+) -> Result<u32, PersistError> {
     if depth > MAX_DECODE_DEPTH {
         return Err(PersistError::Corrupt("node nesting too deep"));
     }
@@ -183,7 +196,7 @@ fn decode_node(buf: &mut &[u8], depth: usize) -> Result<Node, PersistError> {
             need(buf, 4, "leaf id count")?;
             let n = buf.get_u32_le() as usize;
             need(buf, n * 4 + 4, "leaf body")?;
-            let mut ids = Vec::with_capacity(n);
+            ids.clear();
             for _ in 0..n {
                 ids.push(buf.get_u32_le());
             }
@@ -191,46 +204,41 @@ fn decode_node(buf: &mut &[u8], depth: usize) -> Result<Node, PersistError> {
             if (n_pos as usize) > n {
                 return Err(PersistError::Corrupt("leaf n_pos exceeds n"));
             }
-            Ok(Node::Leaf(Leaf { ids, n_pos }))
+            Ok(store.push_leaf(ids, n_pos))
         }
         1 => {
             need(buf, 2 + 2 + 1 + 4 + 4 + 4 + 2, "internal header")?;
             let attr = buf.get_u16_le();
             let threshold = buf.get_u16_le();
-            let is_random = buf.get_u8() != 0;
+            let random = buf.get_u8() != 0;
             let n = buf.get_u32_le();
             let n_pos = buf.get_u32_le();
             let chosen = buf.get_u32_le();
             let n_cands = buf.get_u16_le() as usize;
             need(buf, n_cands * (2 + 2 + 4 + 4), "candidates")?;
-            let mut candidates = Vec::with_capacity(n_cands);
+            pool.clear();
             for _ in 0..n_cands {
-                candidates.push(Candidate {
+                pool.push(Candidate {
                     attr: buf.get_u16_le(),
                     threshold: buf.get_u16_le(),
                     n_left: buf.get_u32_le(),
                     n_left_pos: buf.get_u32_le(),
                 });
             }
-            if !is_random && (chosen as usize) >= candidates.len() {
+            if !random && (chosen as usize) >= pool.len() {
                 return Err(PersistError::Corrupt("chosen index out of range"));
             }
-            let left = decode_node(buf, depth + 1)?;
-            let right = decode_node(buf, depth + 1)?;
-            if left.n() + right.n() != n || left.n_pos() + right.n_pos() != n_pos {
+            let cold = Cold { n, n_pos, lo: 0, len: 0, chosen, random };
+            let slot = store.push_internal(attr, threshold, cold, pool);
+            let left = decode_node(buf, depth + 1, store, ids, pool)?;
+            let right = decode_node(buf, depth + 1, store, ids, pool)?;
+            store.set_kids(slot, [left, right]);
+            let (l, r) = (store.node(left), store.node(right));
+            let sum = |a: u32, b: u32| u64::from(a) + u64::from(b);
+            if sum(l.n(), r.n()) != u64::from(n) || sum(l.n_pos(), r.n_pos()) != u64::from(n_pos) {
                 return Err(PersistError::Corrupt("node counts disagree with children"));
             }
-            Ok(Node::Internal(Box::new(Internal {
-                attr,
-                threshold,
-                is_random,
-                n,
-                n_pos,
-                candidates,
-                chosen,
-                left,
-                right,
-            })))
+            Ok(slot)
         }
         _ => Err(PersistError::Corrupt("unknown node tag")),
     }
@@ -274,12 +282,14 @@ pub fn from_bytes(mut data: &[u8]) -> Result<DareForest, PersistError> {
         return Err(PersistError::Corrupt("tree count exceeds input size"));
     }
     let mut trees = Vec::with_capacity(n_trees);
+    let (mut ids, mut pool) = (Vec::new(), Vec::new());
     for index in 0..n_trees {
-        let root = decode_node(buf, 0)?;
-        if root.n() != n_instances {
+        let mut store = NodeStore::default();
+        let root = decode_node(buf, 0, &mut store, &mut ids, &mut pool)?;
+        if store.node(root).n() != n_instances {
             return Err(PersistError::Corrupt("tree instance count mismatch"));
         }
-        trees.push(DareTree::from_saved(root, &config, index));
+        trees.push(DareTree::from_saved(store, root, &config, index));
     }
     if buf.has_remaining() {
         return Err(PersistError::Corrupt("trailing bytes"));
@@ -310,20 +320,47 @@ pub fn save(forest: &DareForest, path: impl AsRef<Path>) -> Result<(), PersistEr
     Ok(())
 }
 
-/// Saves a forest atomically: the bytes land in a `.tmp` sibling first
-/// and are renamed over `path`, so a crash mid-write can never leave a
-/// truncated file where a loadable forest used to be.
+/// Saves a forest atomically and durably: the bytes land in a `.tmp`
+/// sibling that is synced to disk, the sibling is renamed over `path`,
+/// and the parent directory is synced, so neither a crash nor a power cut
+/// can leave a truncated file where a loadable forest used to be.
 pub fn save_atomic(forest: &DareForest, path: impl AsRef<Path>) -> Result<(), PersistError> {
     let path = path.as_ref();
     let _span = fume_obs::span!("forest.persist.save", trees = forest.trees().len());
     let bytes = to_bytes(forest);
     fume_obs::gauge!("forest.persist.bytes", bytes.len() as f64);
+    let tmp = tmp_sibling(path);
+    write_synced(&tmp, &bytes)?;
+    std::fs::rename(&tmp, path)?;
+    sync_parent(path)?;
+    Ok(())
+}
+
+/// `path` with `.tmp` appended: where an atomic writer stages its bytes.
+pub fn tmp_sibling(path: &Path) -> std::path::PathBuf {
     let mut tmp = path.as_os_str().to_os_string();
     tmp.push(".tmp");
-    let tmp = std::path::PathBuf::from(tmp);
-    std::fs::write(&tmp, bytes)?;
-    std::fs::rename(&tmp, path)?;
-    Ok(())
+    tmp.into()
+}
+
+/// Writes `bytes` to `path` and syncs the file's data to disk before
+/// returning: the first half of an atomic replace, which must not rename
+/// a file whose bytes may still be only in the page cache.
+pub fn write_synced(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
+    use std::io::Write;
+    let mut file = std::fs::File::create(path)?;
+    file.write_all(bytes)?;
+    file.sync_all()
+}
+
+/// Syncs the directory holding `path`, so a rename into it survives a
+/// power cut: the second half of an atomic replace.
+pub fn sync_parent(path: &Path) -> std::io::Result<()> {
+    let dir = match path.parent() {
+        Some(dir) if !dir.as_os_str().is_empty() => dir,
+        _ => Path::new("."),
+    };
+    std::fs::File::open(dir)?.sync_all()
 }
 
 /// Loads a forest from a file.
@@ -356,6 +393,7 @@ mod tests {
         assert_eq!(g.trees().len(), f.trees().len());
         for (a, b) in f.trees().iter().zip(g.trees()) {
             assert_eq!(a.root(), b.root());
+            assert_eq!(a.store(), b.store(), "a load lays the store out as a fit does");
         }
         assert_eq!(f.predict_proba(&data), g.predict_proba(&data));
         let v = validate_forest(&g, &data);

@@ -13,17 +13,21 @@
 //! the prediction of a row whose root-to-leaf walk passes through a node
 //! the deletion actually mutated *structurally*:
 //!
-//! * a [`Leaf` record](crate::journal::UndoRecord) means that leaf's
-//!   instance list (and therefore its probability) was edited in place —
-//!   rows cached at exactly that leaf are dirty;
-//! * a [`Subtree` record](crate::journal::UndoRecord) means a whole
-//!   subtree was rebuilt — rows cached at any leaf *under* that path are
-//!   dirty (routing above the subtree root is untouched, so the set of
-//!   rows entering it is unchanged);
-//! * `InternalStats` and `Candidates` records touch only cached
-//!   sufficient statistics, never the `(attr, threshold)` pair a walk
-//!   consults — they invalidate nothing. A delete pass that *does* need
-//!   to change a split decision always goes through a subtree rebuild.
+//! * a `Leaf` [record](crate::journal) means that leaf's instance list
+//!   (and therefore its probability) was edited in place — rows cached at
+//!   exactly that leaf are dirty;
+//! * a `Relink` record means a whole subtree was rebuilt — rows cached at
+//!   any leaf *under* the displaced root are dirty (routing above it is
+//!   untouched, so the set of rows entering it is unchanged);
+//! * `Stats` and `Pool` records touch only cached sufficient statistics,
+//!   never the `(attr, threshold)` pair a walk consults — they invalidate
+//!   nothing. A delete pass that *does* need to change a split decision
+//!   always goes through a subtree rebuild.
+//!
+//! Records address nodes by slot, and a rebuild leaves the displaced
+//! subtree intact in the [node store](crate::node) until the rollback, so
+//! the index keys leaves by slot and decides "under the displaced root"
+//! by preorder intervals computed once at build time.
 //!
 //! So the exact dirty set of an [`UndoJournal`] falls straight out of a
 //! prebuilt map from each leaf to the rows cached under it, *per tree*:
@@ -43,8 +47,8 @@ use std::collections::{HashMap, HashSet};
 use fume_tabular::Dataset;
 
 use crate::forest::DareForest;
-use crate::journal::{NodePath, UndoJournal, UndoRecord};
-use crate::plan::PredictPlan;
+use crate::journal::{Record, UndoJournal};
+use crate::plan::{PredictPlan, TreePlan};
 
 /// Maps each leaf of a fixed forest to the rows of a fixed evaluation
 /// dataset cached under it (and each `(tree, row)` pair to its leaf
@@ -58,8 +62,12 @@ use crate::plan::PredictPlan;
 /// inserts — rebuild it after those.
 #[derive(Debug, Clone)]
 pub struct RoutingIndex {
-    /// `rows_by_leaf[tree]`: leaf path → rows cached there, ascending.
-    rows_by_leaf: Vec<HashMap<NodePath, Vec<u32>>>,
+    /// `rows_by_leaf[tree]`: leaf slot → rows cached there, ascending.
+    rows_by_leaf: Vec<HashMap<u32, Vec<u32>>>,
+    /// `spans[tree][slot]`: the first and last preorder position of the
+    /// subtree at `slot`, for the slots reachable from the root at build
+    /// time (`(u32::MAX, 0)` for the rest).
+    spans: Vec<Vec<(u32, u32)>>,
     /// `probas[tree * n_rows + row]`: the leaf probability `row` reaches
     /// in `tree` — the tree's exact contribution to the ensemble vote.
     /// Tree-major, so one tree's contributions are a contiguous slice.
@@ -97,30 +105,31 @@ impl RoutingIndex {
         Self::build_with_plan(&PredictPlan::compile(forest), data)
     }
 
-    /// Routes every row of `data` through every tree of `plan`'s
-    /// flattened arenas. The arena records each slot's [`NodePath`] and
-    /// leaf probability, so one arena walk per `(tree, row)` yields both
-    /// the leaf table entry and the cached contribution — the same
-    /// addresses and bits a pointer [`route_row`](crate::node::Node::route_row)
-    /// walk produces, without the pointer chasing.
+    /// Routes every row of `data` through every tree of `plan`'s copied
+    /// hot arrays. One kernel walk per `(tree, row)` yields both the leaf
+    /// slot and the cached contribution — the same leaf and bits the
+    /// reference [`route_row`](crate::node::NodeRef::route_row) walk
+    /// produces.
     pub fn build_with_plan(plan: &PredictPlan, data: &Dataset) -> Self {
         let n_rows = data.num_rows();
         let n_trees = plan.num_trees();
         let mut rows_by_leaf = Vec::with_capacity(n_trees);
         let mut probas = Vec::with_capacity(n_rows * n_trees);
         for tree in plan.tree_plans() {
-            let mut by_leaf: HashMap<NodePath, Vec<u32>> = HashMap::new();
+            let hot = tree.hot();
+            let mut by_leaf: HashMap<u32, Vec<u32>> = HashMap::new();
             for row in 0..n_rows {
-                let slot = tree.route_row(data, row);
+                let slot = hot.route_row(data, row);
                 by_leaf
-                    .entry(tree.path_of(slot))
+                    .entry(crate::node::slot_u32(slot))
                     .or_default()
                     .push(fume_tabular::cast::row_u32(row));
-                probas.push(tree.proba_of(slot));
+                probas.push(tree.nodes[slot].proba);
             }
             rows_by_leaf.push(by_leaf);
         }
-        Self { rows_by_leaf, probas, n_trees, n_rows }
+        let spans = plan.tree_plans().iter().map(preorder_spans).collect();
+        Self { rows_by_leaf, spans, probas, n_trees, n_rows }
     }
 
     /// Number of indexed rows.
@@ -165,43 +174,47 @@ impl RoutingIndex {
         debug_assert_eq!(mutated.trees().len(), self.n_trees, "mutated forest shape");
         let mut union = vec![false; self.n_rows];
         let mut fresh_out = vec![Vec::new(); self.n_trees];
-        let mut edited: HashSet<NodePath> = HashSet::new();
-        let mut rebuilt: Vec<NodePath> = Vec::new();
+        let mut edited: HashSet<u32> = HashSet::new();
+        let mut rebuilt: Vec<u32> = Vec::new();
         for (t, (undo, by_leaf)) in
             journal.trees.iter().zip(&self.rows_by_leaf).enumerate()
         {
             edited.clear();
             rebuilt.clear();
-            for record in &undo.records {
-                match record {
-                    UndoRecord::Leaf { path, .. } => {
-                        edited.insert(*path);
+            for record in &undo.log.records {
+                match *record {
+                    Record::Leaf { slot, .. } => {
+                        edited.insert(slot);
                     }
-                    UndoRecord::Subtree { path, .. } => rebuilt.push(*path),
-                    UndoRecord::InternalStats { .. } | UndoRecord::Candidates { .. } => {}
+                    Record::Relink { old, .. } => rebuilt.push(old),
+                    Record::Stats { .. } | Record::Pool { .. } => {}
                 }
             }
+            let spans = &self.spans[t];
+            let under = |leaf: u32, root: u32| {
+                let (lo, hi) = spans[root as usize];
+                (lo..=hi).contains(&spans[leaf as usize].0)
+            };
             if edited.is_empty() && rebuilt.is_empty() {
                 continue;
             }
             let tree = &mutated.trees()[t];
             let cached = &self.probas[t * self.n_rows..(t + 1) * self.n_rows];
             let mut fresh: Vec<(u32, f64)> = Vec::new();
-            for &path in &edited {
-                // A leaf inside a rebuilt cone no longer exists at its
-                // recorded address; its rows are picked up by the cone
-                // scan below instead.
-                if rebuilt.iter().any(|&root| path.descends_from(root)) {
+            for &leaf in &edited {
+                // A leaf inside a rebuilt cone is no longer reachable; its
+                // rows are picked up by the cone scan below instead.
+                if rebuilt.iter().any(|&root| under(leaf, root)) {
                     continue;
                 }
-                if let Some(rows) = by_leaf.get(&path) {
+                if let Some(rows) = by_leaf.get(&leaf) {
                     // One lookup refreshes the whole group: an in-place
                     // edit leaves routing untouched, so every row cached
                     // here still lands on this leaf and votes its new
                     // probability — which is often bit-identical (a pure
                     // leaf stays pure when rows are deleted from it), in
                     // which case nothing is dirty.
-                    let p = tree.proba_at(path);
+                    let p = tree.store().node(leaf).proba();
                     if p.to_bits() == cached[rows[0] as usize].to_bits() {
                         continue;
                     }
@@ -213,8 +226,8 @@ impl RoutingIndex {
                 // resolves every root's cone at once. Rows the rebuilt
                 // subtree routes to an equal-probability leaf are
                 // filtered like unchanged edits.
-                for (leaf, rows) in by_leaf {
-                    if rebuilt.iter().any(|&root| leaf.descends_from(root)) {
+                for (&leaf, rows) in by_leaf {
+                    if rebuilt.iter().any(|&root| under(leaf, root)) {
                         for &row in rows {
                             let p = tree.predict_row(data, row as usize);
                             if p.to_bits() != cached[row as usize].to_bits() {
@@ -236,6 +249,31 @@ impl RoutingIndex {
             .collect();
         DirtyRows { fresh: fresh_out, rows }
     }
+}
+
+/// The first and last preorder position of every subtree reachable from
+/// `tree`'s root: a leaf lies under a root exactly when its first
+/// position falls within the root's span.
+fn preorder_spans(tree: &TreePlan) -> Vec<(u32, u32)> {
+    let mut spans = vec![(u32::MAX, 0); tree.nodes.len()];
+    let mut next = 0u32;
+    // (slot, whether its children are done)
+    let mut stack = vec![(tree.root, false)];
+    while let Some((slot, done)) = stack.pop() {
+        let [left, right] = tree.nodes[slot as usize].kids;
+        if done {
+            spans[slot as usize].1 = next - 1;
+            continue;
+        }
+        spans[slot as usize].0 = next;
+        next += 1;
+        stack.push((slot, true));
+        if left != slot {
+            stack.push((right, false));
+            stack.push((left, false));
+        }
+    }
+    spans
 }
 
 #[cfg(test)]
@@ -262,12 +300,13 @@ mod tests {
         for (t, tree) in forest.trees().iter().enumerate() {
             let mut seen = 0;
             for row in 0..test.num_rows() {
-                let (walked, proba) = tree.root().route_row(&test, row);
+                let walked = tree.root().route_row(&test, row);
+                let proba = walked.proba();
                 // The cached contribution is the walk's, to the bit, and
-                // the leaf table files the row under the walked path.
+                // the leaf table files the row under the walked slot.
                 assert_eq!(idx.tree_proba(t, row).to_bits(), proba.to_bits());
                 assert_eq!(proba.to_bits(), tree.predict_row(&test, row).to_bits());
-                let rows = idx.rows_by_leaf[t].get(&walked).expect("leaf indexed");
+                let rows = idx.rows_by_leaf[t].get(&walked.slot()).expect("leaf indexed");
                 assert!(rows.binary_search(&(row as u32)).is_ok());
                 seen += 1;
             }

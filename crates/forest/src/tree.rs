@@ -1,25 +1,77 @@
 //! A single DaRE tree: construction, prediction, unlearning and
-//! structural introspection.
+//! structural introspection, all over one [`NodeStore`].
 
-use fume_tabular::Dataset;
 use fume_tabular::rng::{SeedableRng, StdRng};
+use fume_tabular::Dataset;
 
-use crate::builder::TreeBuilder;
+use crate::builder::{BuildBuffers, TreeBuilder};
 use crate::config::DareConfig;
-use crate::delete::{delete_from_tree, DeleteReport};
+use crate::delete::{delete_from_tree, DeleteReport, RowSet};
 use crate::insert::{insert_into_tree, InsertReport};
-use crate::journal::{rollback_records, JournalSink, NodePath, TreeUndo};
-use crate::node::Node;
+use crate::journal::{Header, Link, Record, TreeUndo, UndoLog};
+use crate::node::{Candidate, NodeRef, NodeStore};
+use crate::plan::HotTree;
+
+/// Buffers a delete or insert pass over one tree reuses from one pass to
+/// the next, so a warm scratch tree unlearns and rolls back without
+/// allocating. Never cloned, compared or persisted.
+#[derive(Debug, Default)]
+pub(crate) struct Scratch {
+    /// The tree builder's working sets.
+    pub(crate) build: BuildBuffers,
+    /// The pass's copy of its batch, partitioned in place.
+    pub(crate) batch: Vec<u32>,
+    /// Ids of the subtree being rebuilt or replenished.
+    pub(crate) ids: Vec<u32>,
+    /// A pool being replenished.
+    pub(crate) pool: Vec<Candidate>,
+    /// `(attribute, candidates lost)` of the node being replenished.
+    pub(crate) lost: Vec<(u16, usize)>,
+    /// Every row a delete pass removes.
+    pub(crate) deleted: RowSet,
+    /// The undo log of the next journaled delete, returned by the last
+    /// rollback.
+    pub(crate) undo: UndoLog,
+}
 
 /// A decision tree supporting exact unlearning of training instances.
 ///
 /// The tree owns a deterministic RNG stream that is consumed both at build
 /// time and by deletion-triggered subtree retrains, so a cloned tree
-/// replays identically.
-#[derive(Debug, Clone, PartialEq)]
+/// replays identically. Trees compare structurally: two trees are equal
+/// when their live nodes, read from the root, and their RNG streams are,
+/// wherever the nodes sit in the arrays.
+#[derive(Debug)]
 pub struct DareTree {
-    root: Node,
-    rng: StdRng,
+    pub(crate) store: NodeStore,
+    /// Slot of the root node.
+    pub(crate) root: u32,
+    /// The prediction kernel's fixed descent length: at least the depth of
+    /// the deepest live leaf (exact after a fit, a load or a compaction).
+    pub(crate) steps: u32,
+    /// Slots a rebuild displaced, unreachable from the root.
+    pub(crate) orphans: u32,
+    pub(crate) rng: StdRng,
+    pub(crate) scratch: Scratch,
+}
+
+impl Clone for DareTree {
+    fn clone(&self) -> Self {
+        Self {
+            store: self.store.clone(),
+            root: self.root,
+            steps: self.steps,
+            orphans: self.orphans,
+            rng: self.rng.clone(),
+            scratch: Scratch::default(),
+        }
+    }
+}
+
+impl PartialEq for DareTree {
+    fn eq(&self, other: &Self) -> bool {
+        self.rng == other.rng && self.root() == other.root()
+    }
 }
 
 impl DareTree {
@@ -27,57 +79,59 @@ impl DareTree {
     pub fn fit(data: &Dataset, mut ids: Vec<u32>, cfg: &DareConfig, seed: u64) -> Self {
         // fume-lint: allow(F003) -- seed provenance: derived by DareForest::fit_on from config.seed and the tree index, so the stream is reproducible per (config, tree)
         let mut rng = StdRng::seed_from_u64(seed);
-        let root = TreeBuilder::new(data, cfg).build(&mut ids, 0, &mut rng);
-        Self { root, rng }
+        let mut store = NodeStore::default();
+        let mut builder = TreeBuilder::new(data, cfg);
+        let root = builder.build(&mut store, &mut ids, 0, &mut rng);
+        store.shrink_to_fit();
+        let steps = builder.deepest();
+        Self { store, root, steps, orphans: 0, rng, scratch: Scratch::default() }
     }
 
-    /// Reconstructs a tree from a persisted root. The RNG stream restarts
-    /// from a seed derived deterministically from the forest seed and the
-    /// tree's `index` (see `persist` module docs for the reseeding
-    /// caveat).
-    pub(crate) fn from_saved(root: Node, cfg: &DareConfig, index: usize) -> Self {
+    /// Reconstructs a tree from a persisted store, written in preorder
+    /// from `root`. The RNG stream restarts from a seed derived
+    /// deterministically from the forest seed and the tree's `index` (see
+    /// `persist` module docs for the reseeding caveat).
+    pub(crate) fn from_saved(mut store: NodeStore, root: u32, cfg: &DareConfig, index: usize) -> Self {
         let seed = cfg
             .seed
             .wrapping_mul(0xA076_1D64_78BD_642F)
             .wrapping_add(index as u64)
             .rotate_left(17);
+        store.shrink_to_fit();
+        let steps = store.depth(root);
         // fume-lint: allow(F003) -- seed provenance: reseeded deterministically from (config.seed, tree index); see the persist module's reseeding caveat
-        Self { root, rng: StdRng::seed_from_u64(seed) }
+        let rng = StdRng::seed_from_u64(seed);
+        Self { store, root, steps, orphans: 0, rng, scratch: Scratch::default() }
     }
 
-    /// Positive-class probability for `row` of `data`.
+    /// Positive-class probability for `row` of `data`, by the kernel's
+    /// fixed-length walk over the hot array.
     pub fn predict_row(&self, data: &Dataset, row: usize) -> f64 {
-        self.root.predict_row(data, row)
+        self.hot_tree().predict_row(data, row)
     }
 
-    /// The probability at the leaf addressed by `path` — the vote of
-    /// every row routed there, in the bits a full walk would produce.
-    /// The routing index uses this to refresh all rows cached at a
-    /// journal-edited leaf with a single lookup instead of one walk per
-    /// row. Panics if `path` names an internal node: callers pass leaf
-    /// addresses recorded by this tree's own journal, outside any
-    /// rebuilt subtree, so the address still resolves to that leaf.
-    pub fn proba_at(&self, path: NodePath) -> f64 {
-        match path.locate(&self.root) {
-            Node::Leaf(leaf) => leaf.proba(),
-            // fume-lint: allow(F001) -- contract documented above: journal Leaf records only ever address leaves, and rebuilt cones are excluded by the caller; reaching an internal node means a corrupted journal, not a recoverable state
-            Node::Internal(_) => panic!("proba_at: {path:?} addresses an internal node"),
-        }
+    /// The tree as the prediction kernel walks it.
+    pub(crate) fn hot_tree(&self) -> HotTree<'_> {
+        HotTree { nodes: &self.store.hot, root: self.root, steps: self.steps }
     }
 
     /// Unlearns the training instances `del` (must be sorted, deduplicated
     /// and present in the tree). Statistics are updated in place; subtrees
     /// are rebuilt from surviving instances only where the cached
-    /// statistics prove it necessary.
+    /// statistics prove it necessary. The store is compacted once the
+    /// displaced slots outnumber the live ones.
     pub fn delete(&mut self, del: &[u32], data: &Dataset, cfg: &DareConfig) -> DeleteReport {
         debug_assert!(del.windows(2).all(|w| w[0] < w[1]), "ids must be sorted unique");
-        delete_from_tree(&mut self.root, del, data, &mut self.rng, cfg, JournalSink::Off).0
+        let report = delete_from_tree(self, del, data, cfg, None);
+        self.compact_if_sparse();
+        report
     }
 
     /// [`Self::delete`] with an undo journal: performs the same deletion
-    /// while recording every mutated statistic, edited leaf, displaced
-    /// subtree, and the pre-delete RNG state, so that
-    /// [`Self::rollback`] restores the tree byte-identically.
+    /// while recording every overwritten statistic, leaf id list and
+    /// candidate pool, every repointed link, the array lengths and the
+    /// pre-delete RNG state, so that [`Self::rollback`] restores the tree
+    /// byte-identically. The store is never compacted here.
     pub fn delete_journaled(
         &mut self,
         del: &[u32],
@@ -85,51 +139,130 @@ impl DareTree {
         cfg: &DareConfig,
     ) -> (DeleteReport, TreeUndo) {
         debug_assert!(del.windows(2).all(|w| w[0] < w[1]), "ids must be sorted unique");
-        let rng_before = self.rng.clone();
-        let journal = JournalSink::On(Vec::new());
-        let (report, records) =
-            delete_from_tree(&mut self.root, del, data, &mut self.rng, cfg, journal);
-        (report, TreeUndo { records, rng: rng_before })
+        let header = Header {
+            lens: self.store.lens(),
+            root: self.root,
+            steps: self.steps,
+            orphans: self.orphans,
+        };
+        let rng = self.rng.clone();
+        let mut log = std::mem::take(&mut self.scratch.undo);
+        log.clear();
+        let report = delete_from_tree(self, del, data, cfg, Some(&mut log));
+        (report, TreeUndo { log, header, rng })
     }
 
     /// Undoes a journaled deletion, restoring the tree — structure,
-    /// statistics, candidate pools, leaf instance lists and RNG stream —
-    /// to exactly its pre-delete state. Returns the number of node
-    /// restorations applied.
+    /// statistics, candidate pools, leaf instance lists, every array's
+    /// length and contents, and the RNG stream — to exactly its pre-delete
+    /// state. Returns the number of records replayed.
     ///
     /// `undo` must come from this tree's most recent
     /// [`Self::delete_journaled`]; replaying a foreign or stale journal
     /// corrupts the tree.
     pub fn rollback(&mut self, undo: TreeUndo) -> usize {
-        let restored = rollback_records(&mut self.root, undo.records);
-        self.rng = undo.rng;
+        let TreeUndo { mut log, header, rng } = undo;
+        let store = &mut self.store;
+        for &record in log.records.iter().rev() {
+            match record {
+                Record::Relink { link, old } => match link {
+                    Link::Root => self.root = old,
+                    Link::Child { parent, right } => {
+                        store.hot[parent as usize].kids[usize::from(right)] = old;
+                    }
+                },
+                Record::Pool { slot, len, chosen, at } => {
+                    let node = &mut store.cold[slot as usize];
+                    node.len = len;
+                    node.chosen = chosen;
+                    store.pool_mut(slot).copy_from_slice(log.saved_pool(at, len));
+                }
+                Record::Stats { slot, n, n_pos, at, len } => {
+                    let node = &mut store.cold[slot as usize];
+                    node.n = n;
+                    node.n_pos = n_pos;
+                    debug_assert_eq!(node.len, len, "pool shape must match the snapshot");
+                    let saved = log.saved_stats(at, len);
+                    for (cand, &(n_left, n_left_pos)) in store.pool_mut(slot).iter_mut().zip(saved) {
+                        cand.n_left = n_left;
+                        cand.n_left_pos = n_left_pos;
+                    }
+                }
+                Record::Leaf { slot, n, n_pos, at } => {
+                    let lo = store.cold[slot as usize].lo as usize;
+                    store.ids[lo..lo + n as usize].copy_from_slice(log.saved_ids(at, n));
+                    store.set_leaf_counts(slot, n, n_pos);
+                }
+            }
+        }
+        let restored = log.records.len();
+        store.truncate(header.lens);
+        self.root = header.root;
+        self.steps = header.steps;
+        self.orphans = header.orphans;
+        self.rng = rng;
+        log.clear();
+        self.scratch.undo = log;
         restored
     }
 
     /// Incrementally learns the additional training instances `ins`
     /// (sorted, deduplicated, not already present). Leaves grow and split
     /// as the builder would have; greedy nodes rebuild when a cached
-    /// candidate overtakes the chosen split.
+    /// candidate overtakes the chosen split. The store is compacted once
+    /// the displaced slots outnumber the live ones.
     pub fn insert(&mut self, ins: &[u32], data: &Dataset, cfg: &DareConfig) -> InsertReport {
         debug_assert!(ins.windows(2).all(|w| w[0] < w[1]), "ids must be sorted unique");
-        insert_into_tree(&mut self.root, ins, data, &mut self.rng, cfg)
+        let report = insert_into_tree(self, ins, data, cfg);
+        self.compact_if_sparse();
+        report
+    }
+
+    /// Hangs the subtree at `to` from `link`.
+    pub(crate) fn relink(&mut self, link: Link, to: u32) {
+        match link {
+            Link::Root => self.root = to,
+            Link::Child { parent, right } => {
+                self.store.hot[parent as usize].kids[usize::from(right)] = to;
+            }
+        }
+    }
+
+    /// Rewrites the store in preorder from the root, dropping displaced
+    /// slots and stale id ranges, once they outweigh the live ones.
+    fn compact_if_sparse(&mut self) {
+        let live = self.store.len() - self.orphans as usize;
+        let stale_ids = self.store.ids.len() - self.num_instances() as usize;
+        if self.orphans as usize <= live && stale_ids <= self.num_instances() as usize {
+            return;
+        }
+        let mut store = NodeStore::default();
+        self.root = store.copy_subtree(&self.store, self.root);
+        self.steps = store.depth(self.root);
+        self.store = store;
+        self.orphans = 0;
     }
 
     /// The root node, for read-only structural walks (path mining,
     /// validation).
-    pub fn root(&self) -> &Node {
-        &self.root
+    pub fn root(&self) -> NodeRef<'_> {
+        self.store.node(self.root)
+    }
+
+    /// The node store, displaced slots included.
+    pub fn store(&self) -> &NodeStore {
+        &self.store
     }
 
     /// Number of training instances currently in the tree.
     pub fn num_instances(&self) -> u32 {
-        self.root.n()
+        self.root().n()
     }
 
     /// All training-instance ids currently in the tree, sorted.
     pub fn instance_ids(&self) -> Vec<u32> {
-        let mut ids = Vec::with_capacity(self.root.n() as usize);
-        self.root.collect_ids(&mut ids);
+        let mut ids = Vec::with_capacity(self.num_instances() as usize);
+        self.root().collect_ids(&mut ids);
         ids.sort_unstable();
         ids
     }

@@ -2,8 +2,9 @@
 //!
 //! Exact unlearning hinges on cached statistics staying equal to what a
 //! from-scratch pass over the surviving data would compute. This module
-//! verifies that property and is used heavily by the workspace's tests
-//! (including property-based tests).
+//! verifies that property, and what the prediction kernel relies on in
+//! the node store's hot array, and is used heavily by the workspace's
+//! tests (including property-based tests) and by `FUME_DEEPCHECK=1`.
 
 use fume_tabular::cast::row_u32;
 use fume_tabular::Dataset;
@@ -12,7 +13,7 @@ use crate::builder::candidate_valid;
 use crate::config::DareConfig;
 use crate::forest::DareForest;
 use crate::gini::gini_gain;
-use crate::node::Node;
+use crate::node::NodeRef;
 use crate::tree::DareTree;
 
 /// A violated invariant, with a human-readable description.
@@ -26,113 +27,100 @@ impl std::fmt::Display for Violation {
 }
 
 fn check_node(
-    node: &Node,
+    node: NodeRef<'_>,
     data: &Dataset,
     cfg: &DareConfig,
     depth: usize,
     out: &mut Vec<Violation>,
 ) {
-    match node {
-        Node::Leaf(leaf) => {
-            let pos = row_u32(
-                leaf.ids.iter().filter(|&&id| data.label(id as usize)).count(),
-            );
-            if pos != leaf.n_pos {
-                out.push(Violation(format!(
-                    "leaf at depth {depth}: cached n_pos {} != recomputed {pos}",
-                    leaf.n_pos
-                )));
-            }
+    let Some([left, right]) = node.children() else {
+        let pos = row_u32(node.ids().iter().filter(|&&id| data.label(id as usize)).count());
+        if pos != node.n_pos() {
+            out.push(Violation(format!(
+                "leaf at depth {depth}: cached n_pos {} != recomputed {pos}",
+                node.n_pos()
+            )));
         }
-        Node::Internal(i) => {
-            if i.n != i.left.n() + i.right.n() {
-                out.push(Violation(format!(
-                    "node at depth {depth}: n {} != children {}",
-                    i.n,
-                    i.left.n() + i.right.n()
-                )));
-            }
-            if i.n_pos != i.left.n_pos() + i.right.n_pos() {
-                out.push(Violation(format!(
-                    "node at depth {depth}: n_pos {} != children {}",
-                    i.n_pos,
-                    i.left.n_pos() + i.right.n_pos()
-                )));
-            }
-            // Routing: every id under `left` must satisfy the split.
-            let mut ids = Vec::new();
-            i.left.collect_ids(&mut ids);
-            for id in &ids {
-                if data.code(*id as usize, i.attr as usize) > i.threshold {
-                    out.push(Violation(format!(
-                        "node at depth {depth}: id {id} routed left violates split"
-                    )));
-                    break;
-                }
-            }
-            ids.clear();
-            i.right.collect_ids(&mut ids);
-            for id in &ids {
-                if data.code(*id as usize, i.attr as usize) <= i.threshold {
-                    out.push(Violation(format!(
-                        "node at depth {depth}: id {id} routed right violates split"
-                    )));
-                    break;
-                }
-            }
-
-            if depth >= cfg.max_depth {
-                out.push(Violation(format!(
-                    "internal node at depth {depth} exceeds max_depth {}",
-                    cfg.max_depth
-                )));
-            }
-
-            if i.is_random {
-                if !i.candidates.is_empty() {
-                    out.push(Violation(format!(
-                        "random node at depth {depth} carries candidates"
-                    )));
-                }
-                if depth >= cfg.random_depth {
-                    out.push(Violation(format!(
-                        "random node at depth {depth} below random_depth {}",
-                        cfg.random_depth
-                    )));
-                }
-            } else {
-                check_greedy_candidates(node, i, data, cfg, depth, out);
-            }
-
-            check_node(&i.left, data, cfg, depth + 1, out);
-            check_node(&i.right, data, cfg, depth + 1, out);
-        }
+        return;
+    };
+    if node.n() != left.n() + right.n() {
+        out.push(Violation(format!(
+            "node at depth {depth}: n {} != children {}",
+            node.n(),
+            left.n() + right.n()
+        )));
     }
+    if node.n_pos() != left.n_pos() + right.n_pos() {
+        out.push(Violation(format!(
+            "node at depth {depth}: n_pos {} != children {}",
+            node.n_pos(),
+            left.n_pos() + right.n_pos()
+        )));
+    }
+    // Routing: every id under `left` must satisfy the split.
+    let (attr, threshold) = (node.attr() as usize, node.threshold());
+    let mut ids = Vec::new();
+    left.collect_ids(&mut ids);
+    if let Some(id) = ids.iter().find(|&&id| data.code(id as usize, attr) > threshold) {
+        out.push(Violation(format!(
+            "node at depth {depth}: id {id} routed left violates split"
+        )));
+    }
+    ids.clear();
+    right.collect_ids(&mut ids);
+    if let Some(id) = ids.iter().find(|&&id| data.code(id as usize, attr) <= threshold) {
+        out.push(Violation(format!(
+            "node at depth {depth}: id {id} routed right violates split"
+        )));
+    }
+
+    if depth >= cfg.max_depth {
+        out.push(Violation(format!(
+            "internal node at depth {depth} exceeds max_depth {}",
+            cfg.max_depth
+        )));
+    }
+
+    if node.is_random() {
+        if !node.candidates().is_empty() {
+            out.push(Violation(format!(
+                "random node at depth {depth} carries candidates"
+            )));
+        }
+        if depth >= cfg.random_depth {
+            out.push(Violation(format!(
+                "random node at depth {depth} below random_depth {}",
+                cfg.random_depth
+            )));
+        }
+    } else {
+        check_greedy_candidates(node, data, cfg, depth, out);
+    }
+
+    check_node(left, data, cfg, depth + 1, out);
+    check_node(right, data, cfg, depth + 1, out);
 }
 
 fn check_greedy_candidates(
-    node: &Node,
-    i: &crate::node::Internal,
+    node: NodeRef<'_>,
     data: &Dataset,
     cfg: &DareConfig,
     depth: usize,
     out: &mut Vec<Violation>,
 ) {
-    if i.candidates.is_empty() {
+    let candidates = node.candidates();
+    if candidates.is_empty() {
         out.push(Violation(format!("greedy node at depth {depth} has no candidates")));
         return;
     }
-    let chosen = match i.candidates.get(i.chosen as usize) {
-        Some(c) => c,
-        None => {
-            out.push(Violation(format!(
-                "greedy node at depth {depth}: chosen index {} out of range",
-                i.chosen
-            )));
-            return;
-        }
+    let Some(chosen) = candidates.get(node.chosen() as usize) else {
+        out.push(Violation(format!(
+            "greedy node at depth {depth}: chosen index {} out of range",
+            node.chosen()
+        )));
+        return;
     };
-    if (chosen.attr, chosen.threshold) != (i.attr, i.threshold) {
+    if (chosen.attr, chosen.threshold) != (node.attr(), node.threshold()) {
         out.push(Violation(format!(
             "greedy node at depth {depth}: chosen candidate does not match split"
         )));
@@ -140,8 +128,9 @@ fn check_greedy_candidates(
 
     let mut ids = Vec::new();
     node.collect_ids(&mut ids);
-    let chosen_gain = gini_gain(i.n, i.n_pos, chosen.n_left, chosen.n_left_pos);
-    for (ci, c) in i.candidates.iter().enumerate() {
+    let (n, n_pos) = (node.n(), node.n_pos());
+    let chosen_gain = gini_gain(n, n_pos, chosen.n_left, chosen.n_left_pos);
+    for (ci, c) in candidates.iter().enumerate() {
         let column = data.column(c.attr as usize);
         let n_left =
             row_u32(ids.iter().filter(|&&id| column[id as usize] <= c.threshold).count());
@@ -158,16 +147,57 @@ fn check_greedy_candidates(
                 c.n_left, c.n_left_pos
             )));
         }
-        if !candidate_valid(c, i.n, cfg) {
+        if !candidate_valid(c, n, cfg) {
             out.push(Violation(format!(
                 "greedy node at depth {depth}: candidate {ci} invalid but retained"
             )));
         }
-        let gain = gini_gain(i.n, i.n_pos, c.n_left, c.n_left_pos);
+        let gain = gini_gain(n, n_pos, c.n_left, c.n_left_pos);
         if gain > chosen_gain + 1e-9 {
             out.push(Violation(format!(
                 "greedy node at depth {depth}: candidate {ci} gain {gain} beats chosen {chosen_gain}"
             )));
+        }
+    }
+}
+
+/// Checks what the prediction kernel relies on: every live leaf points
+/// both children at itself and carries its counts' probability bit for
+/// bit, every live decision node carries its split in the hot array, and
+/// the step count reaches the deepest leaf.
+fn check_hot(tree: &DareTree, out: &mut Vec<Violation>) {
+    let store = tree.store();
+    let mut stack = vec![(tree.root(), 0u32)];
+    while let Some((node, depth)) = stack.pop() {
+        let slot = node.slot();
+        let hot = store.hot[slot as usize];
+        match node.children() {
+            None => {
+                if hot.kids != [slot; 2] {
+                    out.push(Violation(format!("leaf slot {slot} does not loop to itself")));
+                }
+                if hot.proba.to_bits() != node.proba().to_bits() {
+                    out.push(Violation(format!(
+                        "leaf slot {slot}: hot probability {} != counts' {}",
+                        hot.proba,
+                        node.proba()
+                    )));
+                }
+                if depth > tree.steps {
+                    out.push(Violation(format!(
+                        "leaf slot {slot} at depth {depth} is below the {} kernel steps",
+                        tree.steps
+                    )));
+                }
+            }
+            Some([left, right]) => {
+                if left.slot() == slot || right.slot() == slot {
+                    out.push(Violation(format!("decision slot {slot} loops to itself")));
+                    continue;
+                }
+                stack.push((left, depth + 1));
+                stack.push((right, depth + 1));
+            }
         }
     }
 }
@@ -177,6 +207,7 @@ fn check_greedy_candidates(
 pub fn validate_tree(tree: &DareTree, data: &Dataset, cfg: &DareConfig) -> Vec<Violation> {
     let mut out = Vec::new();
     check_node(tree.root(), data, cfg, 0, &mut out);
+    check_hot(tree, &mut out);
     out
 }
 

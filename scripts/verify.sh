@@ -56,20 +56,22 @@ if ! awk -v s="$speedup" 'BEGIN { exit !(s >= 1.0) }'; then
 fi
 echo "    pooled path ${speedup}x over clone-per-eval"
 
-echo "==> bench smoke: flattened prediction plan vs pointer walk"
-# The bench itself asserts full-vector bitwise equality before timing, so
-# a passing run certifies correctness and speed together.
+echo "==> bench smoke: prediction kernel vs reference walk"
+# The bench times DareForest::predict_proba (the kernel on the live node
+# store) against the reference walk, and asserts full-vector bitwise
+# equality before timing, so a passing run certifies correctness and
+# speed together.
 cargo bench -q --offline -p fume-bench --bench predict_kernel -- --smoke
-plan_speedup=$(sed -n 's/.*"speedup":\([0-9.]*\).*/\1/p' BENCH_predict.json)
-if [ -z "$plan_speedup" ]; then
+kernel_speedup=$(sed -n 's/.*"speedup":\([0-9.]*\).*/\1/p' BENCH_predict.json)
+if [ -z "$kernel_speedup" ]; then
     echo "could not read speedup from BENCH_predict.json" >&2
     exit 1
 fi
-if ! awk -v s="$plan_speedup" 'BEGIN { exit !(s >= 1.5) }'; then
-    echo "prediction-plan kernel below the 1.5x gate over the pointer walk (${plan_speedup}x)" >&2
+if ! awk -v s="$kernel_speedup" 'BEGIN { exit !(s >= 1.5) }'; then
+    echo "prediction kernel below the 1.5x gate over the reference walk (${kernel_speedup}x)" >&2
     exit 1
 fi
-echo "    plan kernel ${plan_speedup}x over the pointer walk"
+echo "    kernel ${kernel_speedup}x over the reference walk"
 
 echo "==> fume-trace diff: smoke bench run-to-run perf gate"
 # A second identical run; the tolerance is generous (smoke runs are small
@@ -95,11 +97,14 @@ FUME_DEEPCHECK=1 cargo test -q --offline --test checkpoint_resume
 FUME_DEEPCHECK=1 cargo test -q --offline -p fume-core checkpoint
 FUME_DEEPCHECK=1 cargo test -q --offline -p fume-obs fault
 
-echo "==> forest fingerprints and unlearning exactness under FUME_DEEPCHECK=1"
+echo "==> forest fingerprints, node store and unlearning exactness under FUME_DEEPCHECK=1"
 # The golden test pins the serialized bytes of fitted, unlearned,
-# rolled-back and inserted forests; with deep checks on, every journaled
-# delete also re-validates the whole forest.
-FUME_DEEPCHECK=1 cargo test -q --offline -p fume-forest --test golden_fingerprint
+# rolled-back and inserted forests; the node-store test checks the
+# prediction kernel against the reference walk and the raw arrays after
+# every rollback. With deep checks on, every journaled delete and
+# rollback also re-validates the whole forest, and every full prediction
+# pass is compared bitwise with the reference walk.
+FUME_DEEPCHECK=1 cargo test -q --offline -p fume-forest --test golden_fingerprint --test node_store
 FUME_DEEPCHECK=1 cargo test -q --offline --test unlearning_exactness
 
 echo "==> lock-order deadlock detector: inversion fires, clean batteries stay silent"

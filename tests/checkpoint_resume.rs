@@ -15,7 +15,7 @@ use fume::core::{CheckpointError, ExplainRequest, Fume, FumeConfig, FumeError, F
 use fume::forest::DareConfig;
 use fume::lattice::SupportRange;
 use fume::obs::fault;
-use fume::tabular::datasets::german_credit;
+use fume::tabular::datasets::{adult, german_credit};
 use fume::tabular::split::train_test_split;
 use fume::tabular::{Dataset, GroupSpec};
 
@@ -205,6 +205,30 @@ fn resume_rejects_different_data_or_config() {
     let other_cfg = config(&dir).with_top_k(3);
     let report = Fume::new(other_cfg).run(&ExplainRequest::new(&train, &test, group)).unwrap();
     assert!(report.top_k.len() <= 3);
+}
+
+/// Resuming a German checkpoint on an Adult split (another schema: 14
+/// attributes instead of 21) must be the same typed mismatch as resuming
+/// it on other German rows, not a panic in the persisted forest's first
+/// prediction pass over columns the Adult data does not have.
+#[test]
+fn resume_on_data_with_another_schema_is_a_mismatch() {
+    let _g = FAULT_LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+    fault::disarm();
+    let (train, test, group) = setup();
+    let dir = fresh_dir("other_schema");
+    run(&dir, &train, &test, group);
+
+    let (adult_data, adult_group) = adult().generate_scaled(0.01, SEED).unwrap();
+    let (adult_train, adult_test) = train_test_split(&adult_data, 0.3, SEED).unwrap();
+    assert_ne!(adult_train.num_attributes(), train.num_attributes());
+    let request = ExplainRequest::new(&adult_train, &adult_test, adult_group);
+    let resumed = catch_unwind(AssertUnwindSafe(|| Fume::resume(&dir).unwrap().run(&request)));
+    match resumed {
+        Ok(Err(FumeError::Checkpoint(CheckpointError::Mismatch(_)))) => {}
+        Ok(other) => panic!("expected Mismatch, got {other:?}"),
+        Err(_) => panic!("resuming on another schema panicked instead of failing cleanly"),
+    }
 }
 
 /// A fault during the checkpoint write itself must leave the *previous*

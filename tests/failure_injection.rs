@@ -134,7 +134,7 @@ fn unlearning_below_min_samples_split_collapses_gracefully() {
     let v = fume::forest::validate::validate_forest(&forest, &data);
     assert!(v.is_empty(), "{v:?}");
     for t in forest.trees() {
-        assert!(matches!(t.root(), fume::forest::node::Node::Leaf(_)));
+        assert!(t.root().is_leaf());
     }
 }
 
