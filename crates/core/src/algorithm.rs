@@ -8,13 +8,13 @@ use fume_obs::clock::{Duration, Stopwatch};
 use fume_fairness::{fairness_report, FairnessMetric};
 use fume_forest::{DareForest, DeleteReport};
 use fume_lattice::{
-    search, BatchEvaluator, EvaluatedSubset, LevelStats, Predicate, SearchDriver, SearchOutcome,
-    SearchParams,
+    BatchEvaluator, EvaluatedSubset, LevelStats, Predicate, SearchDriver, SearchOutcome,
+    SearchParams, SearchState,
 };
 use fume_tabular::{Dataset, GroupSpec};
 
-use crate::attribution::{AttributionEstimator, EvalMemo};
-use crate::checkpoint::{self, CheckpointError};
+use crate::attribution::AttributionEstimator;
+use crate::checkpoint::{self, Checkpoint, CheckpointError};
 use crate::config::FumeConfig;
 use crate::removal::{DareRemoval, SharedAdapter};
 use crate::request::{ExplainRequest, ModelSpec, RemovalSpec};
@@ -190,26 +190,32 @@ impl FumeReport {
 #[derive(Debug, Clone)]
 pub struct Fume {
     config: FumeConfig,
-    resume: bool,
+    /// The checkpoint [`Fume::resume`] read, which [`Fume::run`] checks
+    /// against its inputs and continues.
+    resumed: Option<Checkpoint>,
 }
 
 impl Fume {
     /// Builds a FUME instance.
     pub fn new(config: FumeConfig) -> Self {
-        Self { config, resume: false }
+        Self { config, resumed: None }
     }
 
     /// Resumes a checkpointed run from `dir`: the configuration is
     /// restored from the checkpoint, and the next [`run`](Self::run)
-    /// continues from the last completed lattice level (reloading the
-    /// persisted forest instead of retraining). The caller supplies the
-    /// same train/test/group inputs as the original run — a fingerprint
-    /// check rejects anything else.
+    /// continues from the last completed lattice level. The caller
+    /// supplies the same train/test/group inputs as the original run, and
+    /// the same model if it supplied one (without one, the forest is
+    /// refitted from the restored configuration) — a fingerprint check
+    /// rejects anything else before the model predicts anything.
     pub fn resume(dir: impl Into<PathBuf>) -> Result<Self, FumeError> {
         let dir = dir.into();
         let ckpt = checkpoint::load_state(&dir)?;
-        let config = ckpt.config.with_checkpoint_dir(dir);
-        Ok(Self { config, resume: true })
+        if fume_forest::deepcheck::enabled() {
+            checkpoint::deepcheck_state(&ckpt.state)?;
+        }
+        let config = ckpt.config.clone().with_checkpoint_dir(dir);
+        Ok(Self { config, resumed: Some(ckpt) })
     }
 
     /// The configuration.
@@ -222,17 +228,16 @@ impl Fume {
     ///
     /// What happens depends on the request:
     /// * no model → a DaRE forest is trained from this configuration
-    ///   (or, when resuming a checkpointed run, reloaded from the
-    ///   checkpoint with training time reported as zero);
-    /// * with a `checkpoint_dir` configured, a forest-backed run first
-    ///   persists and *normalizes* the forest through a save/load
-    ///   round-trip (see [`checkpoint::normalize_forest`]), so an
-    ///   interrupted run resumed from the persisted copy reproduces this
-    ///   run byte-identically;
+    ///   (a resumed run refits it from the checkpointed configuration);
+    /// * with a `checkpoint_dir` configured, the search state is saved at
+    ///   every level boundary, under a fingerprint of the data and the
+    ///   model (see [`checkpoint::fingerprint_model`]); checkpointing
+    ///   needs a DaRE forest model and never changes the report;
     /// * the removal override selects how counterfactual models are
     ///   obtained; [`RemovalSpec::Shared`] lends a caller-owned warm
     ///   method and therefore requires a prebuilt model;
-    /// * an attached [`EvalMemo`] is consulted before every unlearn-eval.
+    /// * an attached [`EvalMemo`](crate::EvalMemo) is consulted before
+    ///   every unlearn-eval.
     ///
     /// Incompatible combinations (e.g. exact DaRE unlearning of an
     /// opaque classifier) fail with [`FumeError::InvalidRequest`].
@@ -240,15 +245,10 @@ impl Fume {
         if request.train.is_empty() || request.test.is_empty() {
             return Err(FumeError::EmptyData);
         }
-        match (&request.removal, &request.model) {
-            (RemovalSpec::Shared(shared), Some(model)) => self.run_inner(
-                SharedAdapter(*shared),
-                model.as_classifier(),
-                request.train,
-                request.test,
-                request.group,
-                request.memo,
-            ),
+        match (&request.removal, request.model) {
+            (RemovalSpec::Shared(shared), Some(model)) => {
+                self.run_inner(SharedAdapter(*shared), model, request)
+            }
             (RemovalSpec::Shared(_), None) => Err(FumeError::InvalidRequest(
                 "a shared removal method requires a prebuilt model in the request".into(),
             )),
@@ -259,113 +259,50 @@ impl Fume {
                         .into(),
                 ))
             }
-            _ => self.run_forest(request),
+            (RemovalSpec::Dare, Some(ModelSpec::Forest(forest))) => self.run_dare(forest, request),
+            (RemovalSpec::Dare, None) => {
+                let t0 = Stopwatch::start();
+                let forest = {
+                    let _span =
+                        fume_obs::span!("fume.phase.train", rows = request.train.num_rows());
+                    DareForest::fit(request.train, self.config.forest.clone())
+                };
+                let training_time = t0.elapsed();
+                let mut report = self.run_dare(&forest, request)?;
+                report.training_time = training_time;
+                Ok(report)
+            }
         }
     }
 
-    /// The forest-backed half of [`run`](Self::run), reached only with
-    /// [`RemovalSpec::Dare`]: resolves the deployed DaRE forest
-    /// (provided, resumed, or freshly trained), applies checkpoint
-    /// normalization, and explains it through the pooled
-    /// [`DareRemoval`].
-    fn run_forest(&self, request: &ExplainRequest<'_>) -> Result<FumeReport, FumeError> {
-        let mut training_time = Duration::ZERO;
-        let trained: Option<DareForest> = match request.model {
-            Some(_) => None,
-            None => {
-                let mut resumed = None;
-                if self.resume {
-                    if let Some(dir) = &self.config.checkpoint_dir {
-                        // The checkpoint must belong to this data before its
-                        // forest is used: a forest fitted on another schema
-                        // reads columns this data does not have.
-                        self.validate_resumed(dir, request)?;
-                        match checkpoint::load_forest(dir) {
-                            Ok(forest) => resumed = Some(forest),
-                            // No forest persisted yet (crash before the
-                            // first checkpoint): train fresh below.
-                            Err(CheckpointError::NothingToResume(_)) => {}
-                            Err(e) => return Err(e.into()),
-                        }
-                    }
-                }
-                Some(match resumed {
-                    Some(forest) => forest,
-                    None => {
-                        let t0 = Stopwatch::start();
-                        let _span = fume_obs::span!(
-                            "fume.phase.train",
-                            rows = request.train.num_rows()
-                        );
-                        let forest =
-                            DareForest::fit(request.train, self.config.forest.clone());
-                        training_time = t0.elapsed();
-                        forest
-                    }
-                })
-            }
-        };
-        let forest: &DareForest = if let Some(forest) = &trained {
-            forest
-        } else if let Some(ModelSpec::Forest(forest)) = request.model {
-            forest
-        } else {
-            // `run` routed every classifier model elsewhere.
-            return Err(FumeError::InvalidRequest(
-                "this model/removal combination needs a DaRE forest".into(),
-            ));
-        };
-        let normalized: Option<DareForest> = match &self.config.checkpoint_dir {
-            Some(dir) => Some(checkpoint::normalize_forest(dir, forest)?),
-            None => None,
-        };
-        let forest = normalized.as_ref().unwrap_or(forest);
-        let (train, test, group, memo) =
-            (request.train, request.test, request.group, request.memo);
-        let mut report =
-            self.run_inner(DareRemoval::new(forest, train), forest, train, test, group, memo)?;
-        report.training_time = training_time;
-        Ok(report)
+    /// Explains `forest` through the pooled [`DareRemoval`].
+    fn run_dare(
+        &self,
+        forest: &DareForest,
+        request: &ExplainRequest<'_>,
+    ) -> Result<FumeReport, FumeError> {
+        let removal = DareRemoval::new(forest, request.train);
+        self.run_inner(removal, ModelSpec::Forest(forest), request)
     }
 
-    /// Checks a resumed checkpoint's configuration and data fingerprint
-    /// against this run; a missing state file (a crash before the first
-    /// write) has nothing to check.
-    fn validate_resumed(&self, dir: &Path, request: &ExplainRequest<'_>) -> Result<(), FumeError> {
-        match checkpoint::load_state(dir) {
-            Ok(ckpt) => {
-                let fp = checkpoint::fingerprint(request.train, request.test, request.group);
-                Ok(checkpoint::validate(&ckpt, &self.config, fp)?)
-            }
-            Err(CheckpointError::NothingToResume(_)) => Ok(()),
-            Err(e) => Err(e.into()),
-        }
-    }
-
-    /// The run body shared by every entrypoint: violation check, lattice
-    /// search over the attribution estimator, ranking.
-    fn run_inner<R, C>(
+    /// The run body shared by every entrypoint: checkpoint check,
+    /// violation check, lattice search over the attribution estimator,
+    /// ranking.
+    fn run_inner<R: crate::removal::RemovalMethod>(
         &self,
         removal: R,
-        model: &C,
-        train: &Dataset,
-        test: &Dataset,
-        group: GroupSpec,
-        memo: Option<&dyn EvalMemo>,
-    ) -> Result<FumeReport, FumeError>
-    where
-        R: crate::removal::RemovalMethod,
-        C: fume_tabular::Classifier + ?Sized,
-    {
-        if train.is_empty() || test.is_empty() {
-            return Err(FumeError::EmptyData);
-        }
+        model: ModelSpec<'_>,
+        request: &ExplainRequest<'_>,
+    ) -> Result<FumeReport, FumeError> {
+        let (train, test, group) = (request.train, request.test, request.group);
         let _span = fume_obs::span!(
             "fume.explain",
             train_rows = train.num_rows(),
             test_rows = test.num_rows()
         );
         let params = self.config.search_params()?;
+        let target = self.checkpoint_target(request, model)?;
+        let model = model.as_classifier();
         let (snapshot, original_fairness) = {
             let _span = fume_obs::span!("fume.phase.violation_check");
             let snapshot = fairness_report(model, test, group);
@@ -385,19 +322,14 @@ impl Fume {
             original_bias,
             self.config.n_jobs,
         );
-        if let Some(memo) = memo {
+        if let Some(memo) = request.memo {
             estimator = estimator.with_memo(memo);
         }
 
         let t0 = Stopwatch::start();
         let outcome = {
             let _span = fume_obs::span!("fume.phase.search");
-            match &self.config.checkpoint_dir {
-                Some(dir) => {
-                    self.search_checkpointed(dir, train, &params, &estimator, test, group)?
-                }
-                None => search(train, &params, &estimator)?,
-            }
+            self.search(train, &params, &estimator, target)?
         };
         let search_time = t0.elapsed();
         let unlearn_time = estimator.eval_time();
@@ -432,59 +364,74 @@ impl Fume {
         })
     }
 
-    /// The checkpointed variant of the search loop: the [`SearchState`]
-    /// (fume_lattice::SearchState) is saved (atomically) at every level
-    /// boundary, and — when this instance was built by
-    /// [`Fume::resume`] — reloaded, validated against the live
-    /// configuration and data fingerprint, and continued. The search is
-    /// deterministic per level (the scratch pool restores the deployed
-    /// forest exactly after every unlearn-eval), so re-running the level
-    /// a crash interrupted yields the same ρ values the uninterrupted
-    /// run would have computed.
-    fn search_checkpointed<E: BatchEvaluator>(
+    /// Where a checkpointed run saves its search state, and the
+    /// fingerprint of its data and model it saves under; `None` for a run
+    /// without a checkpoint directory. A resumed checkpoint is checked
+    /// against that fingerprint here, before the model predicts anything:
+    /// a forest fitted on another schema reads columns this data does not
+    /// have.
+    fn checkpoint_target(
         &self,
-        dir: &Path,
+        request: &ExplainRequest<'_>,
+        model: ModelSpec<'_>,
+    ) -> Result<Option<(&Path, u64)>, FumeError> {
+        let Some(dir) = &self.config.checkpoint_dir else {
+            return Ok(None);
+        };
+        let ModelSpec::Forest(forest) = model else {
+            return Err(FumeError::InvalidRequest(
+                "a checkpointed run needs a DaRE forest model: the checkpoint \
+                 fingerprints the forest, and an opaque classifier cannot be checked \
+                 on resume"
+                    .into(),
+            ));
+        };
+        let data = checkpoint::fingerprint(request.train, request.test, request.group);
+        let fp = checkpoint::fingerprint_model(data, forest);
+        if let Some(ckpt) = &self.resumed {
+            checkpoint::validate(ckpt, &self.config, fp)?;
+            fume_obs::counter!("ckpt.resumes", 1);
+        }
+        Ok(Some((dir, fp)))
+    }
+
+    /// The level-wise search: a fresh one, or the resumed checkpoint's
+    /// continued. With a checkpoint `target`, the [`SearchState`] is saved
+    /// (atomically) at every level boundary. The search is deterministic
+    /// per level (the scratch pool restores the deployed forest exactly
+    /// after every unlearn-eval), so re-running the level a crash
+    /// interrupted yields the same ρ values the uninterrupted run computed.
+    fn search<E: BatchEvaluator>(
+        &self,
         train: &Dataset,
         params: &SearchParams,
         evaluator: &E,
-        test: &Dataset,
-        group: GroupSpec,
+        target: Option<(&Path, u64)>,
     ) -> Result<SearchOutcome, FumeError> {
-        let fp = checkpoint::fingerprint(train, test, group);
-        // Same span the non-checkpointed `lattice::search` wrapper emits,
-        // so traces look identical whichever path a run takes.
+        // The span `lattice::search` emits, so traces name the loop alike.
         let _span = fume_obs::span!(
             "lattice.search",
             eta = params.max_literals,
             rows = train.num_rows()
         );
-        let mut driver = if self.resume {
-            match checkpoint::load_state(dir) {
-                Ok(ckpt) => {
-                    checkpoint::validate(&ckpt, &self.config, fp)?;
-                    if fume_forest::deepcheck::enabled() {
-                        checkpoint::deepcheck_state(&ckpt.state)?;
-                    }
-                    fume_obs::counter!("ckpt.resumes", 1);
-                    SearchDriver::with_state(train, params, ckpt.state)
-                }
-                // Crash before the first state write: start over.
-                Err(CheckpointError::NothingToResume(_)) => SearchDriver::new(train, params),
-                Err(e) => return Err(e.into()),
-            }
-        } else {
-            SearchDriver::new(train, params)
+        let mut driver = match &self.resumed {
+            Some(ckpt) => SearchDriver::with_state(train, params, ckpt.state.clone()),
+            None => SearchDriver::new(train, params),
         };
-        // Persist the starting boundary up front, so even a crash inside
-        // the first level resumes without refitting the forest.
-        checkpoint::save_state(dir, &self.config, fp, driver.state())?;
+        let save = |state: &SearchState| match target {
+            Some((dir, fp)) => checkpoint::save_state(dir, &self.config, fp, state),
+            None => Ok(()),
+        };
+        // The starting boundary is saved up front, so even a crash inside
+        // the first level leaves a checkpoint to resume.
+        save(driver.state())?;
         while driver.step(evaluator)? {
-            checkpoint::save_state(dir, &self.config, fp, driver.state())?;
+            save(driver.state())?;
             fume_obs::fault::fault_point("post-level");
         }
-        // The terminal state (done = true) is persisted too: resuming a
+        // The terminal state (done = true) is saved too: resuming a
         // finished run replays its report with zero new evaluations.
-        checkpoint::save_state(dir, &self.config, fp, driver.state())?;
+        save(driver.state())?;
         Ok(driver.into_outcome())
     }
 
@@ -660,6 +607,21 @@ mod tests {
             fume.run(&ExplainRequest::new(&train, &empty, group).with_model(&forest)).unwrap_err(),
             FumeError::EmptyData
         );
+    }
+
+    #[test]
+    fn checkpointing_an_opaque_classifier_is_an_invalid_request() {
+        let (train, test, group) = setup();
+        let forest = DareForest::fit(&train, DareConfig::small(1).with_trees(2));
+        let removal = crate::DareCloneRemoval::new(&forest, &train);
+        let request = ExplainRequest::new(&train, &test, group)
+            .with_classifier(&forest)
+            .with_removal(RemovalSpec::Shared(&removal));
+        let dir = std::env::temp_dir().join("fume_opaque_checkpoint");
+        let _ = std::fs::remove_dir_all(&dir);
+        let fume = Fume::new(config().with_checkpoint_dir(&dir));
+        assert!(matches!(fume.run(&request), Err(FumeError::InvalidRequest(_))));
+        assert!(!dir.exists(), "nothing is written for a refused run");
     }
 
     #[test]

@@ -1,37 +1,31 @@
 //! Crash-resumable explain runs: a versioned binary sidecar that
-//! snapshots the lattice [`SearchState`] at every level boundary, next to
-//! the (already-persistable) deployed forest.
+//! snapshots the lattice [`SearchState`] at every level boundary.
 //!
-//! A checkpoint directory holds two files:
+//! A checkpoint directory holds one file, [`STATE_FILE`]: magic `FUMK`, a
+//! version, the run's [`FumeConfig`], a fingerprint of the run's data and
+//! model, and the full [`SearchState`] (frontier with parent floors, every
+//! evaluated subset, level stats, prune counters).
 //!
-//! - [`FOREST_FILE`] — the deployed [`DareForest`], in the `fume-forest`
-//!   persistence format;
-//! - [`STATE_FILE`] — this module's format: magic `FUMK`, a version, the
-//!   run's [`FumeConfig`], a dataset fingerprint, and the full
-//!   [`SearchState`] (frontier with parent floors, every evaluated
-//!   subset, level stats, prune counters).
-//!
-//! **Atomicity.** Both files are written via tmp-file + rename, so a
-//! crash mid-write — including one injected with `FUME_FAULT` at the
+//! **Atomicity.** The file is written via tmp-file + rename, so a crash
+//! mid-write — including one injected with `FUME_FAULT` at the
 //! `mid-checkpoint-write` site — leaves the previous checkpoint loadable,
 //! never a truncated one.
 //!
-//! **Determinism.** The search itself is deterministic given the forest:
-//! the scratch-pool evaluator restores the deployed forest exactly
+//! **Determinism.** The search is deterministic given its data and
+//! model: the scratch-pool evaluator restores the deployed forest exactly
 //! (including RNG streams) after every unlearn-eval, so re-running a
 //! level reproduces its ρ values bit-identically and no evaluator state
-//! needs checkpointing. The forest, however, inherits `persist.rs`'s
-//! RNG-stream caveat: a *reloaded* forest reseeds per-tree RNGs
-//! deterministically rather than preserving the opaque in-memory stream
-//! position. Checkpointed runs therefore normalize the forest through a
-//! save/load round-trip up front ([`normalize_forest`]), so the
-//! interrupted-and-resumed run and the uninterrupted run hold exactly the
-//! same forest and produce byte-identical reports.
+//! needs checkpointing. The forest itself is not checkpointed. A resume
+//! refits it from the checkpointed configuration (a fit is a function of
+//! the configuration and the rows alone, RNG streams included) or takes
+//! the caller's model again, and [`fingerprint_model`] makes any other
+//! model a [`CheckpointError::Mismatch`]. So `persist`'s reseeding caveat
+//! never reaches an explanation: no run explains a reloaded forest.
 
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 
-use fume_forest::persist::{self, PersistError};
+use fume_forest::persist;
 use fume_forest::DareForest;
 use fume_lattice::{EvaluatedSubset, LatticeNode, LevelStats, Literal, Op, Predicate, SearchState};
 use fume_obs::hash::Fnv1a;
@@ -43,14 +37,13 @@ use crate::config::FumeConfig;
 
 /// File name of the search-state sidecar inside a checkpoint directory.
 pub const STATE_FILE: &str = "search.ckpt";
-/// File name of the persisted deployed forest inside a checkpoint
-/// directory.
-pub const FOREST_FILE: &str = "forest.dare";
 
 /// Magic header bytes of the state sidecar.
 const MAGIC: &[u8; 4] = b"FUMK";
-/// Format version.
-const VERSION: u16 = 1;
+/// Format version. Version 2's fingerprint covers the deployed model as
+/// well as the data; a version-1 file, whose fingerprint covers the data
+/// only, is refused.
+const VERSION: u16 = 2;
 
 /// Errors from saving, loading, or validating checkpoints.
 #[derive(Debug, Clone, PartialEq)]
@@ -63,13 +56,11 @@ pub enum CheckpointError {
     Corrupt(&'static str),
     /// An I/O error, stringified.
     Io(String),
-    /// The checkpoint was taken under a different configuration or
-    /// dataset than the one being resumed with.
+    /// The checkpoint was taken under a different configuration, dataset
+    /// or model than the one being resumed with.
     Mismatch(&'static str),
     /// No checkpoint exists at the given directory.
     NothingToResume(String),
-    /// The persisted forest failed to load.
-    Forest(PersistError),
 }
 
 impl std::fmt::Display for CheckpointError {
@@ -88,7 +79,6 @@ impl std::fmt::Display for CheckpointError {
             Self::NothingToResume(dir) => {
                 write!(f, "no checkpoint to resume at `{dir}`")
             }
-            Self::Forest(e) => write!(f, "checkpointed forest failed to load: {e}"),
         }
     }
 }
@@ -101,19 +91,14 @@ impl From<std::io::Error> for CheckpointError {
     }
 }
 
-impl From<PersistError> for CheckpointError {
-    fn from(e: PersistError) -> Self {
-        Self::Forest(e)
-    }
-}
-
 /// A decoded state sidecar.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Checkpoint {
     /// The configuration the checkpointed run was started with
     /// (`checkpoint_dir` itself is not part of the snapshot).
     pub config: FumeConfig,
-    /// Fingerprint of the train/test/group inputs, for resume validation.
+    /// Fingerprint of the train/test/group inputs and the deployed model
+    /// ([`fingerprint_model`]), for resume validation.
     pub fingerprint: u64,
     /// The search state at the last completed level boundary.
     pub state: SearchState,
@@ -485,6 +470,24 @@ pub fn fingerprint(train: &Dataset, test: &Dataset, group: GroupSpec) -> u64 {
     h.finish()
 }
 
+/// Folds the deployed forest into a data [`fingerprint`]: its persisted
+/// bytes, and each tree's RNG stream position, which those bytes do not
+/// carry and DaRE's subtree rebuilds draw from. A checkpoint stores this
+/// value, so resuming with any other model — another fit, or a save/load
+/// copy whose streams were reseeded — is a mismatch, found before that
+/// model predicts anything.
+pub fn fingerprint_model(data: u64, forest: &DareForest) -> u64 {
+    let mut h = Fnv1a::new();
+    h.write(&data.to_le_bytes());
+    h.write(&persist::to_bytes(forest));
+    for tree in forest.trees() {
+        for lane in tree.rng_state() {
+            h.write(&lane.to_le_bytes());
+        }
+    }
+    h.finish()
+}
+
 // ---------------------------------------------------------------------
 // whole-file codec + directory API
 // ---------------------------------------------------------------------
@@ -523,10 +526,6 @@ fn decode(mut data: &[u8]) -> Result<Checkpoint, CheckpointError> {
 
 fn state_path(dir: &Path) -> PathBuf {
     dir.join(STATE_FILE)
-}
-
-fn forest_path(dir: &Path) -> PathBuf {
-    dir.join(FOREST_FILE)
 }
 
 /// Replaces `path` with `bytes` atomically and durably: the bytes are
@@ -583,7 +582,7 @@ pub fn load_state(dir: &Path) -> Result<Checkpoint, CheckpointError> {
 }
 
 /// Validates that a loaded checkpoint belongs to this run: same
-/// run-defining configuration, same data fingerprint.
+/// run-defining configuration, same data and model fingerprint.
 pub fn validate(
     ckpt: &Checkpoint,
     config: &FumeConfig,
@@ -600,35 +599,10 @@ pub fn validate(
     }
     if fp != ckpt.fingerprint {
         return Err(CheckpointError::Mismatch(
-            "train/test data or group differ from the checkpointed run",
+            "train/test data, group or model differ from the checkpointed run",
         ));
     }
     Ok(())
-}
-
-/// Persists `forest` into `dir` (atomically) and returns the forest as a
-/// resumed run will see it: round-tripped through the persistence format,
-/// so its per-tree RNG streams are the deterministic reseeded ones rather
-/// than the opaque post-training positions. Running the search on the
-/// normalized forest makes interrupted-and-resumed and uninterrupted
-/// checkpointed runs byte-identical.
-pub fn normalize_forest(dir: &Path, forest: &DareForest) -> Result<DareForest, CheckpointError> {
-    std::fs::create_dir_all(dir)?;
-    let bytes = persist::to_bytes(forest);
-    fume_obs::counter!("ckpt.bytes_written", bytes.len());
-    write_atomic(&forest_path(dir), &bytes)?;
-    Ok(persist::from_bytes(&bytes)?)
-}
-
-/// Loads the persisted deployed forest from `dir`.
-pub fn load_forest(dir: &Path) -> Result<DareForest, CheckpointError> {
-    match persist::load(forest_path(dir)) {
-        Ok(f) => Ok(f),
-        Err(PersistError::Io(e)) if e.contains("No such file") => {
-            Err(CheckpointError::NothingToResume(dir.display().to_string()))
-        }
-        Err(e) => Err(e.into()),
-    }
 }
 
 /// Deep structural sanity checks on a decoded state, run under
@@ -662,6 +636,7 @@ pub fn deepcheck_state(state: &SearchState) -> Result<(), CheckpointError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fume_forest::DareConfig;
     use fume_lattice::{SearchDriver, SearchParams, SupportRange};
     use fume_tabular::datasets::planted_toy;
 
@@ -721,6 +696,9 @@ mod tests {
         let mut versioned = good.clone();
         versioned[4] = 0xFF;
         assert!(matches!(decode(&versioned), Err(CheckpointError::UnsupportedVersion(_))));
+        // A version-1 file fingerprints the data only: refused, not read.
+        versioned[4..6].copy_from_slice(&1u16.to_le_bytes());
+        assert_eq!(decode(&versioned), Err(CheckpointError::UnsupportedVersion(1)));
         // Truncation at every prefix length is an error, never a panic.
         for cut in 0..good.len() {
             assert!(decode(&good[..cut]).is_err(), "prefix of {cut} bytes");
@@ -779,6 +757,32 @@ mod tests {
         let (a, group) = planted_toy().generate_scaled(0.2, 7).unwrap();
         let (c, _) = planted_toy().generate_scaled(0.2, 8).unwrap();
         assert_eq!(fingerprint(&a, &c, group), 0x0ff2_900d_4744_cf8d);
+    }
+
+    /// A refit equals the original, RNG streams included, so it resumes;
+    /// a save/load copy predicts the same but rebuilds from reseeded
+    /// streams, so it does not.
+    #[test]
+    fn model_fingerprint_tells_a_refit_from_a_reloaded_copy() {
+        let (a, group) = planted_toy().generate_scaled(0.2, 7).unwrap();
+        let fp = fingerprint(&a, &a, group);
+        let forest = DareForest::fit(&a, DareConfig::small(7));
+        let refit = DareForest::fit(&a, DareConfig::small(7));
+        let reloaded = persist::from_bytes(&persist::to_bytes(&forest)).unwrap();
+        assert_eq!(fingerprint_model(fp, &forest), fingerprint_model(fp, &refit));
+        assert_ne!(fingerprint_model(fp, &forest), fingerprint_model(fp, &reloaded));
+        let other = DareForest::fit(&a, DareConfig::small(8));
+        assert_ne!(fingerprint_model(fp, &forest), fingerprint_model(fp, &other));
+        assert_ne!(fingerprint_model(fp, &forest), fingerprint_model(fp ^ 1, &forest));
+    }
+
+    /// Every version-2 `search.ckpt` stores this value for its model.
+    #[test]
+    fn model_fingerprint_value_is_pinned() {
+        let (a, group) = planted_toy().generate_scaled(0.2, 7).unwrap();
+        let (c, _) = planted_toy().generate_scaled(0.2, 8).unwrap();
+        let forest = DareForest::fit(&a, DareConfig::small(7));
+        assert_eq!(fingerprint_model(fingerprint(&a, &c, group), &forest), 0xdee1_7753_27c7_e0d3);
     }
 
     #[test]

@@ -29,10 +29,10 @@ pub struct FumeConfig {
     /// Worker threads for parallel subset evaluation
     /// (`None` = all available cores).
     pub n_jobs: Option<usize>,
-    /// Directory to checkpoint the run into (forest + search state at
-    /// every lattice-level boundary), enabling [`Fume::resume`]
-    /// (crate::Fume::resume) after a crash. `None` disables
-    /// checkpointing.
+    /// Directory to checkpoint the run into (the search state at every
+    /// lattice-level boundary), enabling
+    /// [`Fume::resume`](crate::Fume::resume) after a crash. `None`
+    /// disables checkpointing.
     pub checkpoint_dir: Option<PathBuf>,
 }
 

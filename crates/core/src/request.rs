@@ -27,6 +27,8 @@ pub enum ModelSpec<'a> {
     /// Any classifier. Exact DaRE unlearning cannot be applied to an
     /// opaque model, so this requires a shared removal override, such
     /// as a retraining method (the paper's §5.1 extensibility route).
+    /// A checkpointed run refuses it: a checkpoint fingerprints the model
+    /// it explains, and an opaque model has no bytes to fingerprint.
     Classifier(&'a dyn Classifier),
 }
 

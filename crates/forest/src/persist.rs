@@ -12,12 +12,15 @@
 //! store is laid out as a fit lays it out.
 //!
 //! One caveat, stated loudly: the per-tree RNG **stream position** is not
-//! preserved (`StdRng` is deliberately opaque). A reloaded tree reseeds
-//! deterministically from `(config.seed, tree index, generation)`, so
-//! save→load→save is stable and reloaded behavior is reproducible, but a
-//! reloaded forest's *future* retrain draws differ from the never-saved
-//! original's. Both are draws from the same distribution — the exactness
-//! guarantee is unaffected.
+//! preserved. A reloaded tree reseeds deterministically from
+//! `(config.seed, tree index)`, so save→load→save is stable and reloaded
+//! behavior is reproducible, but a reloaded forest's *future* retrain
+//! draws differ from the never-saved original's. Both are draws from the
+//! same distribution — the exactness guarantee is unaffected. The caveat
+//! does not reach an explanation: a checkpointed FUME run persists only
+//! its search state, and fingerprints the forest's bytes together with
+//! each tree's [`DareTree::rng_state`] so that a resume with a reloaded
+//! copy is refused.
 
 use std::path::Path;
 

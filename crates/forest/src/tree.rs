@@ -254,6 +254,12 @@ impl DareTree {
         &self.store
     }
 
+    /// The state of the tree's RNG stream, which its next rebuild draws
+    /// from. The persistence format does not carry it (see `persist`).
+    pub fn rng_state(&self) -> [u64; 4] {
+        self.rng.state()
+    }
+
     /// Number of training instances currently in the tree.
     pub fn num_instances(&self) -> u32 {
         self.root().n()

@@ -23,7 +23,7 @@ use std::sync::Arc;
 use fume_obs::clock::Duration;
 use fume_obs::sync::{Counter, TrackedCondvar, TrackedGuard, TrackedMutex};
 
-use fume_core::checkpoint::{self, CheckpointError};
+use fume_core::checkpoint;
 use fume_core::{DareRemoval, ExplainRequest, Fume, FumeConfig, FumeError, FumeReport, RemovalSpec};
 use fume_fairness::FairnessMetric;
 use fume_forest::DareForest;
@@ -47,9 +47,9 @@ pub struct EngineOptions {
     pub job_jobs: usize,
     /// Entry capacity of the cross-request eval cache; 0 disables it.
     pub cache_capacity: usize,
-    /// When set, the engine persists its normalized forest here and
-    /// gives every job its own crash-resumable search checkpoint
-    /// directory (`<root>/job-<id>`).
+    /// When set, every job checkpoints its search into its own directory
+    /// (`<root>/job-<id>`), resumable with `fume-cli explain --resume`;
+    /// no forest is persisted, and the reports do not change.
     pub checkpoint_root: Option<std::path::PathBuf>,
 }
 
@@ -414,16 +414,6 @@ impl Engine {
         if train.is_empty() || test.is_empty() {
             return Err(FumeError::EmptyData);
         }
-        // Persist-and-reload once so every job sees the forest exactly as
-        // a resumed run would — keeps served reports byte-identical to
-        // checkpointed CLI runs.
-        let forest = match &opts.checkpoint_root {
-            Some(root) => {
-                std::fs::create_dir_all(root).map_err(CheckpointError::from)?;
-                checkpoint::normalize_forest(root, &forest)?
-            }
-            None => forest,
-        };
         let fingerprint = checkpoint::fingerprint(&train, &test, group);
         let cache = EvalCache::new(opts.cache_capacity);
         Ok(Self {
@@ -490,15 +480,8 @@ impl Engine {
             cfg.top_k = k;
         }
         cfg.n_jobs = Some(self.opts.job_jobs.max(1));
-        cfg.checkpoint_dir = match &self.opts.checkpoint_root {
-            Some(root) => {
-                let dir = root.join(format!("job-{id}"));
-                std::fs::create_dir_all(&dir)
-                    .map_err(|e| ServeError::Fume(CheckpointError::from(e).into()))?;
-                Some(dir)
-            }
-            None => None,
-        };
+        cfg.checkpoint_dir =
+            self.opts.checkpoint_root.as_ref().map(|root| root.join(format!("job-{id}")));
         Ok(cfg)
     }
 

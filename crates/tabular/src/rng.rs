@@ -57,6 +57,12 @@ impl SeedableRng for StdRng {
 }
 
 impl StdRng {
+    /// The generator's 256-bit state, which fixes every later draw: two
+    /// generators with equal states yield equal streams.
+    pub fn state(&self) -> [u64; 4] {
+        self.s
+    }
+
     #[inline]
     fn next_raw(&mut self) -> u64 {
         let [s0, s1, s2, s3] = self.s;

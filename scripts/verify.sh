@@ -115,7 +115,7 @@ echo "==> lock-order deadlock detector: inversion fires, clean batteries stay si
 FUME_DEEPCHECK=1 cargo test -q --offline -p fume-obs sync
 FUME_DEEPCHECK=1 cargo test -q --offline --test serve_engine
 
-echo "==> fault-injection smoke: run -> inject -> resume -> diff reports"
+echo "==> fault-injection smoke: run -> inject -> resume -> diff against a plain run"
 # Faults only exist in debug builds; build the debug CLI explicitly.
 cargo build --offline -q --bin fume-cli
 smoke_dir="target/fault-smoke"
@@ -131,33 +131,70 @@ awk 'BEGIN {
         print age "," job "," sex "," ok;
     }
 }' > "$smoke_dir/loans.csv"
+# A larger CSV with noisy labels, on which explaining a save/load copy of
+# the forest (whose RNG streams are reseeded) ranks other subsets than a
+# plain run does. Rows come from an integer LCG (every intermediate stays
+# below 2^53), not rand(), whose sequence differs between awks.
+awk 'BEGIN {
+    print "age,job,edu,region,hours,sex,approved";
+    x = 12345;
+    for (i = 0; i < 2000; i++) {
+        x = (x * 75 + 74) % 65537; a = x % 7;
+        x = (x * 75 + 74) % 65537; j = x % 4;
+        x = (x * 75 + 74) % 65537; e = x % 3;
+        x = (x * 75 + 74) % 65537; r = x % 5;
+        x = (x * 75 + 74) % 65537; h = 20 + x % 41;
+        x = (x * 75 + 74) % 65537; u = x % 100;
+        sex = (i % 2 == 0) ? "m" : "f";
+        p = 40 + 8 * e + 3 * a - 2 * r;
+        if (sex == "m") p += 15;
+        if (sex == "f" && j == 1) p -= 30;
+        if (h > 45) p += 10;
+        print (20 + 7 * a) ",j" j ",e" e ",r" r "," h "," sex "," (u < p);
+    }
+}' > "$smoke_dir/loans2k.csv"
 cli="target/debug/fume-cli"
 common="--data $smoke_dir/loans.csv --label approved --positive 1 \
         --sensitive sex --privileged m --trees 10 --depth 5 --seed 3 \
         --support 0.05:0.4 --max-literals 2"
-$cli explain $common --checkpoint-dir "$smoke_dir/ckpt_base" \
-    > "$smoke_dir/report_base.txt" 2>/dev/null
-grep '^|' "$smoke_dir/report_base.txt" > "$smoke_dir/base_topk.txt"
-[ -s "$smoke_dir/base_topk.txt" ] || { echo "baseline found no subsets" >&2; exit 1; }
-# Site 1 kills the first eval batch, site 2 the first level boundary,
-# site 3 the third atomic write (forest + initial state precede it).
-for site in post-eval post-level mid-checkpoint-write:3; do
-    dir="$smoke_dir/ckpt_$(echo "$site" | tr ':' '_')"
-    if FUME_FAULT="$site" $cli explain $common --checkpoint-dir "$dir" \
-        >/dev/null 2>&1; then
-        echo "fault site $site did not kill the run" >&2
-        exit 1
-    fi
-    $cli explain $common --checkpoint-dir "$dir" --resume \
-        > "$smoke_dir/report_resume.txt" 2>/dev/null
-    grep '^|' "$smoke_dir/report_resume.txt" > "$smoke_dir/resume_topk.txt"
-    if ! diff -q "$smoke_dir/base_topk.txt" "$smoke_dir/resume_topk.txt" >/dev/null; then
-        echo "resumed top-k report differs from uninterrupted run (site $site)" >&2
-        diff "$smoke_dir/base_topk.txt" "$smoke_dir/resume_topk.txt" >&2 || true
-        exit 1
-    fi
-    echo "    $site: killed, resumed, reports identical"
-done
+large="--data $smoke_dir/loans2k.csv --label approved --positive 1 \
+       --sensitive sex --privileged m --trees 20 --depth 8 --seed 3 \
+       --support 0.05:0.3 --max-literals 2"
+# fault_smoke NAME FLAGS...: runs an uninterrupted checkpointed run and,
+# per fault site, a killed and resumed one, and diffs each JSON report
+# against a run without --checkpoint-dir.
+fault_smoke() {
+    name=$1
+    shift
+    $cli explain "$@" --json > "$smoke_dir/${name}_plain.json" 2>/dev/null
+    grep -q '"top_k":\[{' "$smoke_dir/${name}_plain.json" \
+        || { echo "$name: plain run found no subsets" >&2; exit 1; }
+    # Site 1 kills the first eval batch, site 2 the first level boundary,
+    # site 3 the second atomic write (the initial state precedes it), which
+    # is the level-1 boundary's.
+    for site in none post-eval post-level mid-checkpoint-write:2; do
+        dir="$smoke_dir/${name}_ckpt_$(echo "$site" | tr ':' '_')"
+        report="$smoke_dir/${name}_ckpt.json"
+        if [ "$site" = none ]; then
+            $cli explain "$@" --checkpoint-dir "$dir" --json > "$report" 2>/dev/null
+        else
+            if FUME_FAULT="$site" $cli explain "$@" --checkpoint-dir "$dir" \
+                >/dev/null 2>&1; then
+                echo "$name: fault site $site did not kill the run" >&2
+                exit 1
+            fi
+            $cli explain "$@" --checkpoint-dir "$dir" --resume --json \
+                > "$report" 2>/dev/null
+        fi
+        if ! cmp -s "$smoke_dir/${name}_plain.json" "$report"; then
+            echo "$name: checkpointed report differs from a plain run (site $site)" >&2
+            exit 1
+        fi
+        echo "    $name, $site: report identical to a plain run"
+    done
+}
+fault_smoke small $common
+fault_smoke large $large
 
 echo "==> fume-serve smoke: persistent engine vs one-shot CLI"
 # The same dataset/model flags must yield byte-identical canonical
@@ -228,6 +265,33 @@ if [ "$deep_matches" -ne 2 ]; then
     exit 1
 fi
 echo "    tracked session drained clean; reports byte-identical to the CLI"
+
+echo "==> fume-serve smoke: --checkpoint-root jobs vs one-shot CLI"
+# Checkpointing a job must not change its report, on the CSV where
+# explaining a reloaded forest would; the job's directory holds only its
+# search state, and fume-cli --resume replays it to the same report.
+"$rcli" explain $large --json > "$smoke_dir/cli_large.json" 2>/dev/null
+ckpt_root="$smoke_dir/serve_ckpt"
+ckpt_session="$smoke_dir/serve_session_ckpt.txt"
+echo '{"op":"explain","id":"c1"}' \
+    | "$serve" $large --workers 1 --checkpoint-root "$ckpt_root" > "$ckpt_session" 2>/dev/null
+cli_large=$(cat "$smoke_dir/cli_large.json")
+if [ "$(grep -cF "\"report\":${cli_large}}" "$ckpt_session" || true)" -ne 1 ]; then
+    echo "fume-serve --checkpoint-root report differs from fume-cli --json" >&2
+    exit 1
+fi
+job_dir=$(ls -d "$ckpt_root"/job-*)
+if [ "$(ls "$job_dir")" != "search.ckpt" ]; then
+    echo "job checkpoint $job_dir holds more than search.ckpt: $(ls "$job_dir")" >&2
+    exit 1
+fi
+"$rcli" explain $large --checkpoint-dir "$job_dir" --resume --json \
+    > "$smoke_dir/resumed_job.json" 2>/dev/null
+if ! cmp -s "$smoke_dir/cli_large.json" "$smoke_dir/resumed_job.json"; then
+    echo "resuming the served job with fume-cli changed its report" >&2
+    exit 1
+fi
+echo "    checkpointed job byte-identical to the CLI; resumed by fume-cli to the same report"
 
 echo "==> bench smoke: serve throughput (warm cache vs cold)"
 cargo bench -q --offline -p fume-bench --bench serve_throughput -- --smoke

@@ -31,7 +31,7 @@ fn usage() -> ! {
         cli::usage(
             "fume-cli <explain|slices|baseline>",
             "  --progress            live search status line on stderr (level, evals/s, ETA)\n  \
-             --checkpoint-dir DIR  checkpoint the explain run (forest + search state)\n  \
+             --checkpoint-dir DIR  checkpoint the explain run's search state\n  \
              --resume              continue a crashed run from --checkpoint-dir\n  \
              --json                print the explain report as canonical JSON (schema 1)"
         )

@@ -1,7 +1,8 @@
 //! Crash-resumability: for every `FUME_FAULT` site, a seeded explain run
 //! is killed mid-flight, resumed from its checkpoint, and must reproduce
-//! the uninterrupted run's report byte-identically. Corrupt and
-//! mismatched checkpoints must fail cleanly, never panic.
+//! the uninterrupted run's report byte-identically — and checkpointing
+//! itself must not change the report. Corrupt and mismatched checkpoints,
+//! another model among them, must fail cleanly, never panic.
 //!
 //! Fault injection only exists in debug builds (`fume_obs::fault` is a
 //! no-op under release), which is the default `cargo test` profile.
@@ -12,12 +13,12 @@ use std::sync::Mutex;
 
 use fume::core::checkpoint;
 use fume::core::{CheckpointError, ExplainRequest, Fume, FumeConfig, FumeError, FumeReport};
-use fume::forest::DareConfig;
+use fume::forest::{persist, DareConfig, DareForest};
 use fume::lattice::SupportRange;
 use fume::obs::fault;
-use fume::tabular::datasets::{adult, german_credit};
+use fume::tabular::datasets::{adult, german_credit, PaperDataset};
 use fume::tabular::split::train_test_split;
-use fume::tabular::{Dataset, GroupSpec};
+use fume::tabular::{Classifier, Dataset, GroupSpec};
 
 /// Fault state is process-global; every test that arms a site (or runs a
 /// checkpointed search that passes fault points) serializes on this.
@@ -62,6 +63,14 @@ fn assert_reports_identical(a: &FumeReport, b: &FumeReport) {
     assert_eq!(a.metric, b.metric);
 }
 
+/// Expects `Fume::run` to fail with a typed checkpoint mismatch.
+fn assert_mismatch(outcome: Result<FumeReport, FumeError>, what: &str) {
+    match outcome {
+        Err(FumeError::Checkpoint(CheckpointError::Mismatch(_))) => {}
+        other => panic!("{what}: expected Mismatch, got {other:?}"),
+    }
+}
+
 #[test]
 fn uninterrupted_checkpointed_run_matches_plain_run_ranking() {
     let _g = FAULT_LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
@@ -69,23 +78,74 @@ fn uninterrupted_checkpointed_run_matches_plain_run_ranking() {
     let (train, test, group) = setup();
     let dir = fresh_dir("plain_vs_ckpt");
     let ckpt_report = run(&dir, &train, &test, group);
-    // The checkpointed run normalizes the forest (save/load round-trip),
-    // which preserves its predictions exactly but may shift search-time
-    // unlearning RNG draws versus the never-persisted forest. Deployed
-    // behavior must match a plain run bit-for-bit; search-side counts
-    // only need to be a working run (see docs/checkpointing.md).
     let mut plain_cfg = config(&dir);
     plain_cfg.checkpoint_dir = None;
     let plain = Fume::new(plain_cfg).run(&ExplainRequest::new(&train, &test, group)).unwrap();
-    assert_eq!(ckpt_report.original_bias.to_bits(), plain.original_bias.to_bits());
-    assert_eq!(ckpt_report.original_accuracy.to_bits(), plain.original_accuracy.to_bits());
-    assert_eq!(ckpt_report.metric, plain.metric);
-    // Level-1 candidate generation depends only on the data, not on any
-    // RNG draw: both runs must consider the identical literal space.
-    assert_eq!(ckpt_report.levels[0].possible, plain.levels[0].possible);
-    assert_eq!(ckpt_report.levels[0].pruned_rule1, plain.levels[0].pruned_rule1);
-    assert!(!ckpt_report.top_k.is_empty());
     assert!(!plain.top_k.is_empty());
+    assert_eq!(ckpt_report.to_json(), plain.to_json(), "checkpointing changed the report");
+    // The directory holds the search state and nothing else.
+    let files: Vec<_> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().into_string().unwrap())
+        .collect();
+    assert_eq!(files, [checkpoint::STATE_FILE]);
+}
+
+/// A generated split and the configuration that explains it at support
+/// 5–15% and η = 2, with forests shaped like the `explain_e2e`
+/// benchmark's `adult_default` and `german_wide` members.
+fn member(
+    dataset: PaperDataset,
+    scale: f64,
+    trees: usize,
+    seed: u64,
+) -> (Dataset, Dataset, GroupSpec, FumeConfig) {
+    let (data, group) = dataset.generate_scaled(scale, seed).unwrap();
+    let (train, test) = train_test_split(&data, 0.3, seed).unwrap();
+    let forest = DareConfig::default()
+        .with_trees(trees)
+        .with_max_depth(10)
+        .with_seed(seed)
+        .with_jobs(1);
+    let config = FumeConfig::default()
+        .with_forest(forest)
+        .with_support(SupportRange::new(0.05, 0.15).unwrap())
+        .with_max_literals(2)
+        .with_jobs(2);
+    (train, test, group, config)
+}
+
+/// DaRE's subtree rebuilds draw from each tree's RNG stream, so a run
+/// that explained a save/load copy of the forest (whose streams are
+/// reseeded) would rank other subsets. On Adult and German members the
+/// report is the same with and without a checkpoint directory, and after
+/// a kill at a level boundary and a resume that refits the forest.
+#[test]
+fn checkpointing_does_not_change_the_answer_on_generated_members() {
+    let _g = FAULT_LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+    fault::disarm();
+    let members =
+        [("adult", member(adult(), 0.03, 20, 1)), ("german", member(german_credit(), 1.0, 5, 1))];
+    for (name, (train, test, group, config)) in members {
+        let forest = DareForest::fit(&train, config.forest.clone());
+        let request = ExplainRequest::new(&train, &test, group).with_model(&forest);
+        let plain = Fume::new(config.clone()).run(&request).unwrap().to_json();
+
+        let dir = fresh_dir(&format!("member_{name}"));
+        let ckpt = Fume::new(config.clone().with_checkpoint_dir(&dir)).run(&request).unwrap();
+        assert_eq!(ckpt.to_json(), plain, "{name}: checkpointed report differs from plain");
+
+        let dir = fresh_dir(&format!("member_{name}_killed"));
+        fault::arm("post-level", 1);
+        let died = catch_unwind(AssertUnwindSafe(|| {
+            Fume::new(config.clone().with_checkpoint_dir(&dir)).run(&request)
+        }));
+        fault::disarm();
+        assert!(died.is_err(), "{name}: post-level must kill the run");
+        let resumed =
+            Fume::resume(&dir).unwrap().run(&ExplainRequest::new(&train, &test, group)).unwrap();
+        assert_eq!(resumed.to_json(), plain, "{name}: resumed report differs from plain");
+    }
 }
 
 /// For each fault site: the run dies at the site, `Fume::resume`
@@ -103,10 +163,10 @@ fn killed_runs_resume_to_byte_identical_reports() {
     assert!(baseline.levels.len() >= 2, "fixture must search multiple levels");
 
     // (site, occurrence): kill the first post-eval batch, the first
-    // completed level, and the third atomic write (write 1 persists the
-    // forest, write 2 the initial boundary; dying on write 3 — the
-    // level-1 boundary — exercises "previous checkpoint stays loadable").
-    for (site, nth) in [("post-eval", 1), ("post-level", 1), ("mid-checkpoint-write", 3)] {
+    // completed level, and the second atomic write (write 1 persists the
+    // initial boundary; dying on write 2 — the level-1 boundary —
+    // exercises "previous checkpoint stays loadable").
+    for (site, nth) in [("post-eval", 1), ("post-level", 1), ("mid-checkpoint-write", 2)] {
         let dir = fresh_dir(&format!("kill_{site}_{nth}"));
         fault::arm(site, nth);
         let died = catch_unwind(AssertUnwindSafe(|| run(&dir, &train, &test, group)));
@@ -123,8 +183,10 @@ fn killed_runs_resume_to_byte_identical_reports() {
             .run(&ExplainRequest::new(&train, &test, group))
             .unwrap_or_else(|e| panic!("site {site}:{nth}: resumed run failed: {e}"));
         assert_reports_identical(&baseline, &resumed);
-        // Resumption reloads the persisted forest; no retraining happened.
-        assert_eq!(resumed.training_time.as_nanos(), 0, "site {site}:{nth}");
+        assert_eq!(resumed.to_json(), baseline.to_json(), "site {site}:{nth}");
+        // Given no model, a resume refits the forest from the checkpoint's
+        // configuration.
+        assert!(resumed.training_time.as_nanos() > 0, "site {site}:{nth}");
     }
 
     // Kill/resume cycles take and re-take every pipeline lock; the
@@ -174,6 +236,15 @@ fn corrupt_or_truncated_checkpoints_fail_cleanly() {
     match Fume::resume(&dir) {
         Err(FumeError::Checkpoint(CheckpointError::Corrupt(_))) => {}
         other => panic!("expected Corrupt, got {other:?}"),
+    }
+
+    // A version-1 file, whose fingerprint covers the data only: refused.
+    let mut v1 = good.clone();
+    v1[4..6].copy_from_slice(&1u16.to_le_bytes());
+    std::fs::write(&path, &v1).unwrap();
+    match Fume::resume(&dir) {
+        Err(FumeError::Checkpoint(CheckpointError::UnsupportedVersion(1))) => {}
+        other => panic!("expected UnsupportedVersion(1), got {other:?}"),
     }
 
     // Missing entirely: NothingToResume.
@@ -240,9 +311,9 @@ fn fault_during_checkpoint_write_preserves_previous_checkpoint() {
     let (train, test, group) = setup();
     let dir = fresh_dir("atomic");
 
-    // Write 4 is the level-2 boundary: when it dies, the level-1
-    // boundary state (write 3) must still be the loadable checkpoint.
-    fault::arm("mid-checkpoint-write", 4);
+    // Write 3 is the level-2 boundary: when it dies, the level-1
+    // boundary state (write 2) must still be the loadable checkpoint.
+    fault::arm("mid-checkpoint-write", 3);
     let died = catch_unwind(AssertUnwindSafe(|| run(&dir, &train, &test, group)));
     fault::disarm();
     assert!(died.is_err());
@@ -255,4 +326,74 @@ fn fault_during_checkpoint_write_preserves_previous_checkpoint() {
     let baseline_dir = fresh_dir("atomic_baseline");
     let baseline = run(&baseline_dir, &train, &test, group);
     assert_reports_identical(&baseline, &resumed);
+}
+
+/// Runs a checkpointed explain of `forest` into a fresh `dir`, killed at
+/// its first level boundary, and returns the directory.
+fn killed_model_run(
+    name: &str,
+    forest: &DareForest,
+    train: &Dataset,
+    test: &Dataset,
+    group: GroupSpec,
+) -> PathBuf {
+    let dir = fresh_dir(name);
+    let request = ExplainRequest::new(train, test, group).with_model(forest);
+    fault::arm("post-level", 1);
+    let died = catch_unwind(AssertUnwindSafe(|| Fume::new(config(&dir)).run(&request)));
+    fault::disarm();
+    assert!(died.is_err(), "{name}: post-level must kill the run");
+    dir
+}
+
+/// A run given a model resumes with that model to the same report as a
+/// plain run of it; with any other forest — another fit, or a save/load
+/// copy that predicts the same but rebuilds from reseeded RNG streams —
+/// the resume is a typed mismatch.
+#[test]
+fn resume_is_checked_against_the_model_it_is_given() {
+    let _g = FAULT_LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+    fault::disarm();
+    let (train, test, group) = setup();
+    let forest = DareForest::fit(&train, DareConfig::small(SEED + 1));
+    let dir = killed_model_run("model_given", &forest, &train, &test, group);
+    let request = |model| ExplainRequest::new(&train, &test, group).with_model(model);
+
+    let other = DareForest::fit(&train, DareConfig::small(SEED + 2));
+    assert_mismatch(Fume::resume(&dir).unwrap().run(&request(&other)), "another forest");
+    let reloaded = persist::from_bytes(&persist::to_bytes(&forest)).unwrap();
+    assert_eq!(reloaded.predict_proba(&test), forest.predict_proba(&test));
+    assert_mismatch(Fume::resume(&dir).unwrap().run(&request(&reloaded)), "a reloaded copy");
+    // Without the model the resume refits the configuration's forest
+    // (seed SEED), which is not the one this run was given.
+    assert_mismatch(
+        Fume::resume(&dir).unwrap().run(&ExplainRequest::new(&train, &test, group)),
+        "a refit of another model",
+    );
+
+    let mut plain_cfg = config(&dir);
+    plain_cfg.checkpoint_dir = None;
+    let plain = Fume::new(plain_cfg).run(&request(&forest)).unwrap();
+    let resumed = Fume::resume(&dir).unwrap().run(&request(&forest)).unwrap();
+    assert_eq!(resumed.to_json(), plain.to_json());
+    assert_eq!(resumed.training_time.as_nanos(), 0, "a given model is not refitted");
+}
+
+/// A run given a German forest, resumed with that forest on Adult rows:
+/// the forest would read columns the Adult data does not have, so the
+/// mismatch must surface before it predicts anything.
+#[test]
+fn resume_of_a_model_given_run_on_another_schema_is_a_mismatch() {
+    let _g = FAULT_LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+    fault::disarm();
+    let (train, test, group) = setup();
+    let forest = DareForest::fit(&train, DareConfig::small(SEED));
+    let dir = killed_model_run("model_other_schema", &forest, &train, &test, group);
+
+    let (adult_data, adult_group) = adult().generate_scaled(0.01, SEED).unwrap();
+    let (adult_train, adult_test) = train_test_split(&adult_data, 0.3, SEED).unwrap();
+    let request = ExplainRequest::new(&adult_train, &adult_test, adult_group).with_model(&forest);
+    let resumed = catch_unwind(AssertUnwindSafe(|| Fume::resume(&dir).unwrap().run(&request)))
+        .unwrap_or_else(|_| panic!("resuming on another schema panicked"));
+    assert_mismatch(resumed, "another schema");
 }

@@ -121,6 +121,16 @@ fn counters_and_progress_account_for_every_submitted_item() {
         "executed + deduped + memoized must equal items submitted"
     );
 
+    // --- scratch pool: one lease per executed eval, each from the pool
+    // the estimator warmed, so no eval pays a clone. Deep checks
+    // re-derive memo hits through extra leases, so the lease count holds
+    // only with them off. ---
+    let leases = rec.counter_value("fume.scratch.leases").unwrap_or(0);
+    if !fume::forest::deepcheck::enabled() {
+        assert_eq!(leases, executed, "one lease per executed eval");
+    }
+    assert_eq!(rec.counter_value("fume.scratch.cold_clones").unwrap_or(0), 0);
+
     // --- progress layer: both levels completed their plan, and the
     // run-wide totals agree with the counters ---
     let jsonl = rec.events_to_jsonl();

@@ -120,6 +120,43 @@ fn engine_reports_are_byte_identical_to_the_full_recompute_path() {
     assert_eq!(got, baseline, "pooled engine report diverged from the clone-per-eval path");
 }
 
+/// A `checkpoint_root` changes where jobs leave their search state, not
+/// what they report: each job's directory holds only `search.ckpt`, and
+/// resuming it refits the engine's forest to the served report.
+#[test]
+fn checkpointed_jobs_report_what_plain_jobs_do() {
+    let _g = serial();
+    use fume::core::{checkpoint, ExplainRequest, Fume};
+
+    let root = std::env::temp_dir().join(format!("fume-serve-ckpt-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    let plain = engine(1).serve(|h| {
+        report_json(h.explain(ExplainOverrides::default()).unwrap().wait().unwrap())
+    });
+    let engine = engine_with(EngineOptions {
+        workers: 1,
+        checkpoint_root: Some(root.clone()),
+        ..EngineOptions::default()
+    });
+    let served = engine.serve(|h| {
+        report_json(h.explain(ExplainOverrides::default()).unwrap().wait().unwrap())
+    });
+    assert_eq!(served, plain, "a checkpoint root changed the served report");
+
+    let jobs: Vec<_> = std::fs::read_dir(&root).unwrap().map(|e| e.unwrap().path()).collect();
+    assert_eq!(jobs.len(), 1, "one directory per job, nothing else: {jobs:?}");
+    let files: Vec<_> =
+        std::fs::read_dir(&jobs[0]).unwrap().map(|e| e.unwrap().file_name()).collect();
+    assert_eq!(files, [checkpoint::STATE_FILE]);
+    // The `engine` fixture's split, re-derived.
+    let (data, group) = planted_toy().generate_scaled(0.6, 7).unwrap();
+    let (train, test) = train_test_split(&data, 0.3, 7).unwrap();
+    let request = ExplainRequest::new(&train, &test, group);
+    let resumed = Fume::resume(&jobs[0]).unwrap().run(&request).unwrap();
+    assert_eq!(resumed.to_json(), plain);
+    let _ = std::fs::remove_dir_all(&root);
+}
+
 #[test]
 fn warm_repeat_performs_zero_unlearn_evals() {
     let _g = serial();

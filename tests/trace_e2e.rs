@@ -166,7 +166,6 @@ fn explain_run_leaves_a_complete_trace() {
         .with_checkpoint_dir(&ckpt_dir);
     let report = Fume::new(config).run(&ExplainRequest::new(&train, &test, group)).unwrap();
     assert!(!report.top_k.is_empty());
-    let _ = std::fs::remove_dir_all(&ckpt_dir);
 
     let jsonl = rec.events_to_jsonl();
     let lines: Vec<&str> = jsonl.lines().collect();
@@ -310,6 +309,17 @@ fn explain_run_leaves_a_complete_trace() {
     if std::fs::create_dir_all("target").is_ok() {
         let _ = std::fs::write(&out, &jsonl);
     }
+
+    // A resume reads its checkpoint once, and refits the forest.
+    rec.reset();
+    let resumed = Fume::resume(&ckpt_dir)
+        .unwrap()
+        .run(&ExplainRequest::new(&train, &test, group))
+        .unwrap();
+    assert_eq!(resumed.to_json(), report.to_json());
+    assert_eq!(rec.span_stats("ckpt.load").map(|s| s.calls), Some(1));
+    assert_eq!(rec.span_stats("forest.fit").map(|s| s.calls), Some(1));
+    let _ = std::fs::remove_dir_all(&ckpt_dir);
     fume::obs::progress::reset();
     rec.reset();
 }
