@@ -4,7 +4,7 @@ use fume_tabular::cast::{code_u16, row_u32};
 use fume_tabular::{AttrKind, Dataset};
 
 use crate::literal::{Literal, Op};
-use crate::predicate::{intersect_sorted, Predicate};
+use crate::predicate::Predicate;
 
 /// How level-1 literals are generated.
 ///
@@ -121,7 +121,7 @@ pub fn level1_nodes_with(
 }
 
 /// The outcome of expanding one level.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Expansion {
     /// The surviving child nodes (satisfiable, with selections).
     pub children: Vec<LatticeNode>,
@@ -140,9 +140,10 @@ pub struct Expansion {
 
 /// Expands a frontier of level-`l` nodes into level-`l+1` children via the
 /// apriori join (shared `l−1`-literal prefix). Each child's selection is
-/// the intersection of its parents'. When `check_satisfiability` is set
-/// (Rule 1), contradictory children are dropped without materializing
-/// selections.
+/// the intersection of its parents', taken as the AND of their row
+/// bitsets; it equals [`intersect_sorted`](crate::intersect_sorted) of
+/// their sorted rows. When `check_satisfiability` is set (Rule 1),
+/// contradictory children are dropped without materializing selections.
 pub fn expand_level(
     data: &Dataset,
     frontier: &[LatticeNode],
@@ -161,10 +162,8 @@ pub fn expand_level_with(
     prune_redundant: bool,
 ) -> Expansion {
     let n = frontier.len();
-    let possible = n * n.saturating_sub(1) / 2;
-    let mut children = Vec::new();
-    let mut pruned_rule1 = 0;
-    let mut pruned_redundant = 0;
+    let mut join = Join::new(data, check_satisfiability, prune_redundant);
+    join.out.possible = n * n.saturating_sub(1) / 2;
 
     // Canonical join requires sorted frontier predicates; joins only fire
     // for pairs sharing their (l−1)-prefix, so sort and sweep prefix groups.
@@ -181,41 +180,27 @@ pub fn expand_level_with(
         while group_end < n && prefix_of(group_end) == prefix_of(group_start) {
             group_end += 1;
         }
-        for i in group_start..group_end {
-            for j in (i + 1)..group_end {
-                let (a, b) = (&frontier[order[i]], &frontier[order[j]]);
+        let group = &order[group_start..group_end];
+        if group.len() > 1 {
+            join.bits.load(group.iter().map(|&k| frontier[k].rows.as_slice()));
+        }
+        for (i, &ka) in group.iter().enumerate() {
+            for (j, &kb) in group.iter().enumerate().skip(i + 1) {
+                let (a, b) = (&frontier[ka], &frontier[kb]);
                 let Some(child) = a.predicate.join(&b.predicate) else {
                     continue;
                 };
-                if check_satisfiability && !child.is_satisfiable(data.schema()) {
-                    pruned_rule1 += 1;
-                    continue;
-                }
-                let rows = intersect_sorted(&a.rows, &b.rows);
-                // A child selecting exactly a parent's rows adds literals
-                // without changing the subset — keep the simpler parent.
-                if prune_redundant
-                    && (rows.len() == a.rows.len() || rows.len() == b.rows.len())
-                {
-                    pruned_redundant += 1;
-                    continue;
-                }
                 let parent_floor = match (a.rho, b.rho) {
                     (Some(x), Some(y)) => x.max(y),
                     (Some(x), None) | (None, Some(x)) => x,
                     (None, None) => f64::NEG_INFINITY,
                 };
-                children.push(LatticeNode {
-                    predicate: child,
-                    rows,
-                    rho: None,
-                    parent_floor,
-                });
+                join.child(child, (i, a.rows.len()), (j, b.rows.len()), parent_floor);
             }
         }
         group_start = group_end;
     }
-    Expansion { children, possible, pruned_rule1, pruned_redundant }
+    join.out
 }
 
 /// Expands a frontier consisting of a *single* level-`l` node by
@@ -236,38 +221,133 @@ pub fn expand_singleton_with(
     check_satisfiability: bool,
     prune_redundant: bool,
 ) -> Expansion {
-    let mut children = Vec::new();
-    let mut possible = 0;
-    let mut pruned_rule1 = 0;
-    let mut pruned_redundant = 0;
-    for fresh in level1_nodes_with(data, exclude_attrs, gen) {
-        let lit = fresh.predicate.literals()[0];
-        if node.predicate.literals().contains(&lit) {
-            continue; // already part of the conjunction: no new candidate
-        }
-        possible += 1;
+    let fresh: Vec<LatticeNode> = level1_nodes_with(data, exclude_attrs, gen)
+        .into_iter()
+        // A literal already in the conjunction adds no new candidate.
+        .filter(|f| !node.predicate.literals().contains(&f.predicate.literals()[0]))
+        .collect();
+    let mut join = Join::new(data, check_satisfiability, prune_redundant);
+    join.out.possible = fresh.len();
+    // Slot 0 holds the node, slot `1 + i` the `i`-th fresh literal: the
+    // node's literals are level-1 literals themselves, so the slots number
+    // at most the level-1 literals, as in a prefix group.
+    join.bits.load(
+        std::iter::once(node.rows.as_slice()).chain(fresh.iter().map(|f| f.rows.as_slice())),
+    );
+    let parent_floor = node.rho.unwrap_or(f64::NEG_INFINITY);
+    for (i, f) in fresh.iter().enumerate() {
         let mut lits = node.predicate.literals().to_vec();
-        lits.push(lit);
+        lits.push(f.predicate.literals()[0]);
         let child = Predicate::new(lits);
-        if check_satisfiability && !child.is_satisfiable(data.schema()) {
-            pruned_rule1 += 1;
-            continue;
+        join.child(child, (0, node.rows.len()), (1 + i, f.rows.len()), parent_floor);
+    }
+    join.out
+}
+
+/// One level's join: the children so far, the prune counts, and the row
+/// bitsets of the parents being joined.
+struct Join<'d> {
+    data: &'d Dataset,
+    check_satisfiability: bool,
+    prune_redundant: bool,
+    bits: RowBits,
+    out: Expansion,
+}
+
+impl<'d> Join<'d> {
+    fn new(data: &'d Dataset, check_satisfiability: bool, prune_redundant: bool) -> Self {
+        Self {
+            data,
+            check_satisfiability,
+            prune_redundant,
+            bits: RowBits::new(data.num_rows()),
+            out: Expansion::default(),
         }
-        let rows = intersect_sorted(&node.rows, &fresh.rows);
-        if prune_redundant
-            && (rows.len() == node.rows.len() || rows.len() == fresh.rows.len())
-        {
-            pruned_redundant += 1;
-            continue;
+    }
+
+    /// Considers the candidate `predicate` of two parents, each given as
+    /// its bitset slot and its row count: Rule 1 first, so contradictory
+    /// candidates never touch the bitsets, then the selection, then
+    /// redundancy pruning, which needs only the selection's size.
+    fn child(
+        &mut self,
+        predicate: Predicate,
+        (a, a_len): (usize, usize),
+        (b, b_len): (usize, usize),
+        parent_floor: f64,
+    ) {
+        if self.check_satisfiability && !predicate.is_satisfiable(self.data.schema()) {
+            self.out.pruned_rule1 += 1;
+            return;
         }
-        children.push(LatticeNode {
-            predicate: child,
-            rows,
+        let (a, b) = (self.bits.slot(a), self.bits.slot(b));
+        let len = and_count(a, b);
+        // A child selecting exactly a parent's rows adds literals without
+        // changing the subset — keep the simpler parent.
+        if self.prune_redundant && (len == a_len || len == b_len) {
+            self.out.pruned_redundant += 1;
+            return;
+        }
+        self.out.children.push(LatticeNode {
+            predicate,
+            rows: and_rows(a, b, len),
             rho: None,
-            parent_floor: node.rho.unwrap_or(f64::NEG_INFINITY),
+            parent_floor,
         });
     }
-    Expansion { children, possible, pruned_rule1, pruned_redundant }
+}
+
+/// Row bitsets of the parents of one prefix group: slot `i` has bit `r`
+/// set for every training row `r` the group's `i`-th parent selects, one
+/// `u64` per 64 rows. The buffer is reloaded from group to group, so it
+/// holds one group at a time; a group has at most one parent per level-1
+/// literal, which bounds it by `literals × rows / 8` bytes.
+struct RowBits {
+    words: usize,
+    bits: Vec<u64>,
+}
+
+impl RowBits {
+    fn new(rows: usize) -> Self {
+        Self { words: rows.div_ceil(64), bits: Vec::new() }
+    }
+
+    /// Replaces the slots with one bitset per row-id selection.
+    fn load<'s>(&mut self, selections: impl Iterator<Item = &'s [u32]>) {
+        self.bits.clear();
+        for rows in selections {
+            let start = self.bits.len();
+            self.bits.resize(start + self.words, 0);
+            let slot = &mut self.bits[start..];
+            for &r in rows {
+                slot[r as usize / 64] |= 1 << (r % 64);
+            }
+        }
+    }
+
+    fn slot(&self, i: usize) -> &[u64] {
+        &self.bits[i * self.words..(i + 1) * self.words]
+    }
+}
+
+/// Number of rows set in both bitsets.
+fn and_count(a: &[u64], b: &[u64]) -> usize {
+    a.iter().zip(b).map(|(x, y)| (x & y).count_ones() as usize).sum()
+}
+
+/// The ascending ids of the `len` rows set in both bitsets, in a vector
+/// of exactly that length.
+fn and_rows(a: &[u64], b: &[u64], len: usize) -> Vec<u32> {
+    let mut rows = Vec::with_capacity(len);
+    for (w, (x, y)) in a.iter().zip(b).enumerate() {
+        let mut word = x & y;
+        let base = row_u32(w * 64);
+        while word != 0 {
+            rows.push(base + word.trailing_zeros());
+            word &= word - 1;
+        }
+    }
+    rows
 }
 
 #[cfg(test)]

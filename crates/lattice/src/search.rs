@@ -383,14 +383,15 @@ impl<'a> SearchDriver<'a> {
         //     conjoining fresh level-1 literals grows its sub-lattice. ---
         let mut expandable = survivors;
         expandable.extend(oversized);
-        let expansion = match expandable.len() {
-            0 => {
-                st.done = true;
-                return Ok(false);
-            }
-            1 => expand_singleton_with(
+        if expandable.is_empty() {
+            st.done = true;
+            return Ok(false);
+        }
+        let mut expand_span = fume_obs::span!("lattice.expand");
+        let expansion = match expandable.as_slice() {
+            [node] => expand_singleton_with(
                 self.data,
-                &expandable[0],
+                node,
                 &params.exclude_attrs,
                 params.literal_gen,
                 params.toggles.rule1_satisfiability,
@@ -403,6 +404,9 @@ impl<'a> SearchDriver<'a> {
                 params.toggles.prune_redundant,
             ),
         };
+        expand_span.record("pairs", expansion.possible);
+        expand_span.record("children", expansion.children.len());
+        drop(expand_span);
         st.possible = expansion.possible;
         st.pruned_rule1 = expansion.pruned_rule1;
         st.pruned_redundant = expansion.pruned_redundant;

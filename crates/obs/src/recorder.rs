@@ -65,6 +65,9 @@ pub enum Event {
         total_ns: u64,
         /// Wall time minus time spent in child spans on this thread.
         self_ns: u64,
+        /// Fields recorded while the span was open
+        /// ([`crate::SpanGuard::record`]).
+        fields: Vec<(&'static str, Value)>,
     },
     /// A monotonic counter increment.
     Counter {
@@ -208,7 +211,14 @@ impl Recorder {
 
     /// Records a span closing and folds it into the aggregates,
     /// including the per-name duration histogram.
-    pub fn span_end(&self, name: &'static str, thread: u64, total_ns: u64, self_ns: u64) {
+    pub fn span_end(
+        &self,
+        name: &'static str,
+        thread: u64,
+        total_ns: u64,
+        self_ns: u64,
+        fields: Vec<(&'static str, Value)>,
+    ) {
         let mut st = self.state();
         let t_ns = self.now_ns();
         let s = st.spans.entry(name).or_default();
@@ -217,7 +227,7 @@ impl Recorder {
         s.self_ns += self_ns;
         s.max_ns = s.max_ns.max(total_ns);
         st.span_hists.entry(name).or_default().record(total_ns);
-        Self::push_event(&mut st, Event::SpanEnd { name, t_ns, thread, total_ns, self_ns });
+        Self::push_event(&mut st, Event::SpanEnd { name, t_ns, thread, total_ns, self_ns, fields });
     }
 
     /// Adds `delta` to a monotonic counter.
@@ -500,7 +510,7 @@ fn write_event(out: &mut String, ev: &Event) {
                 write_fields(out, fields);
             }
         }
-        Event::SpanEnd { name, t_ns, thread, total_ns, self_ns } => {
+        Event::SpanEnd { name, t_ns, thread, total_ns, self_ns, fields } => {
             write_key(out, &mut first, "type");
             out.push_str("\"span_end\"");
             write_key(out, &mut first, "name");
@@ -513,6 +523,10 @@ fn write_event(out: &mut String, ev: &Event) {
             out.push_str(&total_ns.to_string());
             write_key(out, &mut first, "self_ns");
             out.push_str(&self_ns.to_string());
+            if !fields.is_empty() {
+                write_key(out, &mut first, "fields");
+                write_fields(out, fields);
+            }
         }
         Event::Counter { name, delta, t_ns } => {
             write_key(out, &mut first, "type");
@@ -577,9 +591,9 @@ mod tests {
     #[test]
     fn aggregates_accumulate() {
         let r = Recorder::new();
-        r.span_end("a.b", 0, 100, 60);
-        r.span_end("a.b", 0, 300, 200);
-        r.span_end("c", 1, 50, 50);
+        r.span_end("a.b", 0, 100, 60, Vec::new());
+        r.span_end("a.b", 0, 300, 200, Vec::new());
+        r.span_end("c", 1, 50, 50, Vec::new());
         let s = r.span_stats("a.b").unwrap();
         assert_eq!(s.calls, 2);
         assert_eq!(s.total_ns, 400);
@@ -600,7 +614,7 @@ mod tests {
     fn span_durations_fold_into_histograms() {
         let r = Recorder::new();
         for ns in [100u64, 200, 300, 400, 10_000] {
-            r.span_end("h.s", 0, ns, ns);
+            r.span_end("h.s", 0, ns, ns, Vec::new());
         }
         let h = r.span_hist("h.s").unwrap();
         assert_eq!(h.count(), 5);
@@ -633,7 +647,7 @@ mod tests {
                 s.spawn(move || {
                     for i in 0..200u64 {
                         r.add_counter("m.c", 1);
-                        r.span_end("m.s", t, i, i);
+                        r.span_end("m.s", t, i, i, Vec::new());
                     }
                 });
             }
@@ -658,7 +672,7 @@ mod tests {
     fn reset_clears_everything_but_meta() {
         let r = Recorder::new();
         r.add_counter("k", 1);
-        r.span_end("s", 0, 10, 10);
+        r.span_end("s", 0, 10, 10, Vec::new());
         r.record_hist("h", 1);
         r.set_meta("seed", "7");
         assert!(r.event_count() > 0);
@@ -676,8 +690,8 @@ mod tests {
     #[test]
     fn table_orders_spans_by_total_time() {
         let r = Recorder::new();
-        r.span_end("fast", 0, 10, 10);
-        r.span_end("slow", 0, 2_000_000_000, 1_000_000_000);
+        r.span_end("fast", 0, 10, 10, Vec::new());
+        r.span_end("slow", 0, 2_000_000_000, 1_000_000_000, Vec::new());
         r.add_counter("hits", 12);
         r.set_gauge("load", 0.7);
         let t = r.profile_table();
@@ -709,7 +723,7 @@ mod tests {
     fn jsonl_shapes() {
         let r = Recorder::new();
         r.span_start("s", vec![("level", Value::U64(2)), ("tag", Value::Str("x\"y".into()))], 3);
-        r.span_end("s", 3, 40, 40);
+        r.span_end("s", 3, 40, 40, vec![("children", Value::U64(7))]);
         r.add_counter("c", 5);
         r.set_gauge("g", f64::NAN);
         let out = r.events_to_jsonl();
@@ -721,7 +735,11 @@ mod tests {
             lines[0]
         );
         assert!(lines[1].contains(r#""fields":{"level":2,"tag":"x\"y"}"#), "{}", lines[1]);
-        assert!(lines[2].contains(r#""total_ns":40"#), "{}", lines[2]);
+        assert!(
+            lines[2].contains(r#""total_ns":40,"self_ns":40,"fields":{"children":7}"#),
+            "{}",
+            lines[2]
+        );
         assert!(lines[3].contains(r#""delta":5"#), "{}", lines[3]);
         assert!(lines[4].contains(r#""value":null"#), "{}", lines[4]);
     }

@@ -34,6 +34,8 @@ struct ActiveSpan {
     name: &'static str,
     start: Instant,
     thread: u64,
+    /// Fields recorded while the span was open, written at its close.
+    end_fields: Vec<(&'static str, Value)>,
 }
 
 impl SpanGuard {
@@ -52,7 +54,23 @@ impl SpanGuard {
         let thread = thread_seq();
         rec.span_start(name, fields, thread);
         CHILD_NS.with(|c| c.borrow_mut().push(0));
-        SpanGuard { active: Some(ActiveSpan { name, start: Instant::now(), thread }) }
+        SpanGuard {
+            active: Some(ActiveSpan {
+                name,
+                start: Instant::now(),
+                thread,
+                end_fields: Vec::new(),
+            }),
+        }
+    }
+
+    /// Attaches a field known only once the span's work is done (a result
+    /// count, say); it is written on the span's `span_end` event. A no-op
+    /// on a disabled guard.
+    pub fn record(&mut self, key: &'static str, value: impl Into<Value>) {
+        if let Some(span) = &mut self.active {
+            span.end_fields.push((key, value.into()));
+        }
     }
 }
 
@@ -72,7 +90,13 @@ impl Drop for SpanGuard {
             mine
         });
         if let Some(rec) = crate::global() {
-            rec.span_end(span.name, span.thread, total_ns, total_ns.saturating_sub(child_ns));
+            rec.span_end(
+                span.name,
+                span.thread,
+                total_ns,
+                total_ns.saturating_sub(child_ns),
+                span.end_fields,
+            );
         }
     }
 }

@@ -566,8 +566,8 @@ mod tests {
         r.set_meta("seed", "7");
         r.span_start("a.outer", vec![], 0);
         r.span_start("a.inner", vec![], 0);
-        r.span_end("a.inner", 0, 1_000, 1_000);
-        r.span_end("a.outer", 0, 5_000, 4_000);
+        r.span_end("a.inner", 0, 1_000, 1_000, Vec::new());
+        r.span_end("a.outer", 0, 5_000, 4_000, Vec::new());
         r.add_counter("a.count", 3);
         r.set_gauge("a.gauge", 1.25);
         r.record_hist("a.hist", 64);
@@ -676,7 +676,8 @@ mod tests {
     fn synthetic(total_outer: u64, calls: u64, counter: u64) -> Trace {
         let r = Recorder::new();
         for _ in 0..calls {
-            r.span_end("s.outer", 0, total_outer / calls.max(1), total_outer / calls.max(1));
+            let ns = total_outer / calls.max(1);
+            r.span_end("s.outer", 0, ns, ns, Vec::new());
         }
         r.add_counter("s.count", counter);
         parse_trace(&r.events_to_jsonl()).unwrap()

@@ -93,9 +93,12 @@ fi
 echo "    trace parser at ${parse_mbps} MB/s (BENCH_trace.json)"
 
 echo "==> checkpoint/fault tests under FUME_DEEPCHECK=1 (runtime audits on)"
-FUME_DEEPCHECK=1 cargo test -q --offline --test checkpoint_resume
-FUME_DEEPCHECK=1 cargo test -q --offline -p fume-core checkpoint
-FUME_DEEPCHECK=1 cargo test -q --offline -p fume-obs fault
+# The deep-check steps build with the `deepcheck` profile (Cargo.toml):
+# the dev profile at opt-level 2, so debug assertions, overflow checks
+# and FUME_FAULT sites stay on while the audits run at optimized speed.
+FUME_DEEPCHECK=1 cargo test -q --offline --profile deepcheck --test checkpoint_resume
+FUME_DEEPCHECK=1 cargo test -q --offline --profile deepcheck -p fume-core checkpoint
+FUME_DEEPCHECK=1 cargo test -q --offline --profile deepcheck -p fume-obs fault
 
 echo "==> forest fingerprints, node store and unlearning exactness under FUME_DEEPCHECK=1"
 # The golden test pins the serialized bytes of fitted, unlearned,
@@ -104,16 +107,17 @@ echo "==> forest fingerprints, node store and unlearning exactness under FUME_DE
 # every rollback. With deep checks on, every journaled delete and
 # rollback also re-validates the whole forest, and every full prediction
 # pass is compared bitwise with the reference walk.
-FUME_DEEPCHECK=1 cargo test -q --offline -p fume-forest --test golden_fingerprint --test node_store
-FUME_DEEPCHECK=1 cargo test -q --offline --test unlearning_exactness
+FUME_DEEPCHECK=1 cargo test -q --offline --profile deepcheck -p fume-forest \
+    --test golden_fingerprint --test node_store
+FUME_DEEPCHECK=1 cargo test -q --offline --profile deepcheck --test unlearning_exactness
 
 echo "==> lock-order deadlock detector: inversion fires, clean batteries stay silent"
 # The fume-obs sync suite includes a deliberate AB/BA inversion that must
 # produce a CycleReport, plus consistent-order runs that must not; the
 # serve battery asserts zero cycles across a warm+cold session and a
 # poison-recovery round (fume.sync.* counters).
-FUME_DEEPCHECK=1 cargo test -q --offline -p fume-obs sync
-FUME_DEEPCHECK=1 cargo test -q --offline --test serve_engine
+FUME_DEEPCHECK=1 cargo test -q --offline --profile deepcheck -p fume-obs sync
+FUME_DEEPCHECK=1 cargo test -q --offline --profile deepcheck --test serve_engine
 
 echo "==> fault-injection smoke: run -> inject -> resume -> diff against a plain run"
 # Faults only exist in debug builds; build the debug CLI explicitly.

@@ -164,6 +164,16 @@ fn emitted_names_match_the_documented_vocabulary() {
     });
 
     let emitted = rec.inventory();
+    // The lattice join's span records what it did when it closes.
+    let trace = rec.events_to_jsonl();
+    assert!(
+        trace.lines().any(|l| {
+            l.contains(r#""type":"span_end","name":"lattice.expand""#)
+                && l.contains(r#""fields":{"pairs":"#)
+                && l.contains(r#","children":"#)
+        }),
+        "no lattice.expand span_end carries its pairs and children"
+    );
     rec.reset();
 
     // 1. Nothing undocumented leaks out of an instrumented run.

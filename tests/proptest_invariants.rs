@@ -5,14 +5,20 @@
 
 mod common;
 
+use std::sync::Arc;
+
 use common::random_dataset;
 use fume::fairness::FairnessMetric;
 use fume::forest::validate::validate_forest;
 use fume::forest::{gini, DareConfig, DareForest};
-use fume::lattice::{intersect_sorted, Literal, Op, Predicate};
+use fume::lattice::expand::Expansion;
+use fume::lattice::{
+    expand_level_with, expand_singleton_with, intersect_sorted, level1_nodes_with, LatticeNode,
+    Literal, LiteralGen, Op, Predicate,
+};
 use fume::tabular::discretize::Discretizer;
 use fume::tabular::rng::{Rng, SeedableRng, StdRng};
-use fume::tabular::GroupSpec;
+use fume::tabular::{Attribute, Dataset, GroupSpec, Schema};
 
 #[test]
 fn gini_gain_is_bounded() {
@@ -83,6 +89,177 @@ fn join_selection_is_parent_intersection() {
             assert!(child.support(&data) <= pb.support(&data) + 1e-12, "seed {seed}");
         }
     }
+}
+
+/// A random dataset of exactly `n` rows whose attributes are each
+/// categorical or ordinal (range literals need ordinal ones), with
+/// cardinalities 1–5, so some literals select every row.
+fn random_mixed_dataset(rng: &mut StdRng, n: usize) -> Dataset {
+    let p = rng.gen_range(2..=4usize);
+    let cards: Vec<u16> = (0..p).map(|_| rng.gen_range(1..=5u16)).collect();
+    let cols: Vec<Vec<u16>> =
+        cards.iter().map(|&c| (0..n).map(|_| rng.gen_range(0..c)).collect()).collect();
+    let labels: Vec<bool> = (0..n).map(|_| rng.gen()).collect();
+    let attributes = cards
+        .iter()
+        .enumerate()
+        .map(|(j, &c)| {
+            let values = (0..c).map(|v| format!("v{v}")).collect();
+            if rng.gen::<bool>() {
+                Attribute::ordinal(format!("a{j}"), values)
+            } else {
+                Attribute::categorical(format!("a{j}"), values)
+            }
+        })
+        .collect();
+    let schema = Arc::new(Schema::with_default_label(attributes).unwrap());
+    Dataset::new(schema, cols, labels).unwrap()
+}
+
+/// The child of two parents as the lattice defines it, joined over the
+/// parents' sorted id lists.
+#[allow(clippy::too_many_arguments)]
+fn reference_child(
+    out: &mut Expansion,
+    data: &Dataset,
+    predicate: Predicate,
+    a: &[u32],
+    b: &[u32],
+    parent_floor: f64,
+    rule1: bool,
+    prune_redundant: bool,
+) {
+    if rule1 && !predicate.is_satisfiable(data.schema()) {
+        out.pruned_rule1 += 1;
+        return;
+    }
+    let rows = intersect_sorted(a, b);
+    if prune_redundant && (rows.len() == a.len() || rows.len() == b.len()) {
+        out.pruned_redundant += 1;
+        return;
+    }
+    out.children.push(LatticeNode { predicate, rows, rho: None, parent_floor });
+}
+
+/// The pairwise join: every pair of frontier nodes, in predicate order,
+/// whose predicates join.
+fn reference_join(
+    data: &Dataset,
+    frontier: &[LatticeNode],
+    rule1: bool,
+    prune_redundant: bool,
+) -> Expansion {
+    let mut sorted: Vec<&LatticeNode> = frontier.iter().collect();
+    sorted.sort_by(|a, b| a.predicate.cmp(&b.predicate));
+    let n = sorted.len();
+    let mut out = Expansion { possible: n * n.saturating_sub(1) / 2, ..Expansion::default() };
+    for (i, a) in sorted.iter().enumerate() {
+        for b in &sorted[i + 1..] {
+            let Some(child) = a.predicate.join(&b.predicate) else { continue };
+            let floor = match (a.rho, b.rho) {
+                (Some(x), Some(y)) => x.max(y),
+                (Some(x), None) | (None, Some(x)) => x,
+                (None, None) => f64::NEG_INFINITY,
+            };
+            reference_child(&mut out, data, child, &a.rows, &b.rows, floor, rule1, prune_redundant);
+        }
+    }
+    out
+}
+
+/// The singleton expansion: the node conjoined with every level-1 literal
+/// it does not already hold.
+fn reference_singleton(
+    data: &Dataset,
+    node: &LatticeNode,
+    gen: LiteralGen,
+    rule1: bool,
+    prune_redundant: bool,
+) -> Expansion {
+    let mut out = Expansion::default();
+    for fresh in level1_nodes_with(data, &[], gen) {
+        let lit = fresh.predicate.literals()[0];
+        if node.predicate.literals().contains(&lit) {
+            continue;
+        }
+        out.possible += 1;
+        let mut lits = node.predicate.literals().to_vec();
+        lits.push(lit);
+        let floor = node.rho.unwrap_or(f64::NEG_INFINITY);
+        let child = Predicate::new(lits);
+        reference_child(&mut out, data, child, &node.rows, &fresh.rows, floor, rule1, prune_redundant);
+    }
+    out
+}
+
+fn assert_same_expansion(got: &Expansion, want: &Expansion, ctx: &str) {
+    assert_eq!(got.possible, want.possible, "{ctx}: possible");
+    assert_eq!(got.pruned_rule1, want.pruned_rule1, "{ctx}: pruned_rule1");
+    assert_eq!(got.pruned_redundant, want.pruned_redundant, "{ctx}: pruned_redundant");
+    assert_eq!(got.children.len(), want.children.len(), "{ctx}: children");
+    for (k, (g, w)) in got.children.iter().zip(&want.children).enumerate() {
+        assert_eq!(g.predicate, w.predicate, "{ctx}: child {k} predicate");
+        assert_eq!(g.rows, w.rows, "{ctx}: child {k} rows");
+        assert_eq!(g.rows.capacity(), g.rows.len(), "{ctx}: child {k} rows not exactly sized");
+        assert_eq!(g.rho, None, "{ctx}: child {k} rho");
+        assert_eq!(g.parent_floor.to_bits(), w.parent_floor.to_bits(), "{ctx}: child {k} floor");
+    }
+}
+
+/// Gives each node a random ρ (or none, as for an oversized node) and
+/// keeps a random share of them, as Rules 2, 4 and 5 would.
+fn survivors(rng: &mut StdRng, nodes: Vec<LatticeNode>) -> Vec<LatticeNode> {
+    let keep = rng.gen_range(0.3..1.0f64);
+    let mut kept = Vec::new();
+    for mut node in nodes {
+        if rng.gen::<f64>() < keep {
+            node.rho = rng.gen::<bool>().then(|| rng.gen_range(-1.0..1.0f64));
+            kept.push(node);
+        }
+    }
+    kept
+}
+
+#[test]
+fn bitset_join_matches_the_sorted_list_join() {
+    // Word-boundary sizes (one row, 64 ± 1, 128 ± 1) and random ones.
+    let mut sizes = vec![1, 63, 64, 65, 127, 128, 129];
+    let mut rng = StdRng::seed_from_u64(0xC0DE_0007);
+    sizes.extend((0..24).map(|_| rng.gen_range(1..=300usize)));
+    let (mut joined, mut redundant) = (0usize, 0usize);
+    for (case, &n) in sizes.iter().enumerate() {
+        let data = random_mixed_dataset(&mut rng, n);
+        for gen in [LiteralGen::EqOnly, LiteralGen::WithRanges] {
+            for (rule1, prune) in [(true, false), (true, true), (false, false), (false, true)] {
+                let ctx = format!("case {case} ({n} rows), {gen:?}, rule 1 {rule1}, redundancy {prune}");
+                let level1 = survivors(&mut rng, level1_nodes_with(&data, &[], gen));
+                let want = reference_join(&data, &level1, rule1, prune);
+                let got = expand_level_with(&data, &level1, rule1, prune);
+                assert_same_expansion(&got, &want, &format!("{ctx}, level 1→2"));
+
+                let level2 = survivors(&mut rng, want.children);
+                let want = reference_join(&data, &level2, rule1, prune);
+                let got = expand_level_with(&data, &level2, rule1, prune);
+                assert_same_expansion(&got, &want, &format!("{ctx}, level 2→3"));
+                joined += got.children.len();
+                redundant += got.pruned_redundant;
+
+                // A lone survivor at level 1 and at level 2.
+                for frontier in [&level1, &level2] {
+                    if frontier.is_empty() {
+                        continue;
+                    }
+                    let node = &frontier[rng.gen_range(0..frontier.len())];
+                    let want = reference_singleton(&data, node, gen, rule1, prune);
+                    let got = expand_singleton_with(&data, node, &[], gen, rule1, prune);
+                    let level = node.predicate.len();
+                    assert_same_expansion(&got, &want, &format!("{ctx}, singleton at level {level}"));
+                }
+            }
+        }
+    }
+    assert!(joined > 0, "the battery must produce level-3 children");
+    assert!(redundant > 0, "redundancy pruning must fire at level 3");
 }
 
 #[test]
