@@ -15,7 +15,7 @@
 use fume_tabular::cast::row_u32;
 use fume_tabular::Dataset;
 
-use crate::builder::{best_candidate, candidate_valid, TreeBuilder, GAIN_EPS};
+use crate::builder::{best_candidate, candidate_valid, BuildWork, TreeBuilder, GAIN_EPS};
 use crate::config::DareConfig;
 use crate::gini::gini_gain;
 use crate::journal::{Link, UndoLog};
@@ -35,6 +35,9 @@ pub struct DeleteReport {
     pub leaves_updated: usize,
     /// Greedy nodes that replenished invalidated candidate thresholds.
     pub candidates_replenished: usize,
+    /// Nodes built and rows histogrammed and partitioned, rebuilds and
+    /// replenishments included.
+    pub work: BuildWork,
 }
 
 impl DeleteReport {
@@ -44,6 +47,7 @@ impl DeleteReport {
         self.subtrees_retrained += other.subtrees_retrained;
         self.leaves_updated += other.leaves_updated;
         self.candidates_replenished += other.candidates_replenished;
+        self.work.merge(&other.work);
     }
 }
 
@@ -70,11 +74,28 @@ impl RowSet {
     }
 }
 
+/// Moves the ids of `ids` that `deleted` does not hold to its front, in
+/// order, and returns how many there are. Branch-free: each id is written
+/// at the cursor, never ahead of the read position, and the cursor
+/// advances past survivors only.
+fn keep_survivors(ids: &mut [u32], deleted: &RowSet) -> usize {
+    let mut kept = 0;
+    for i in 0..ids.len() {
+        let id = ids[i];
+        ids[kept] = id;
+        kept += usize::from(!deleted.contains(id));
+    }
+    kept
+}
+
 /// Appends the ids under `slot` that `deleted` does not hold, leaves left
 /// to right, and returns how many slots the subtree spans.
 fn collect_survivors(store: &NodeStore, slot: u32, deleted: &RowSet, out: &mut Vec<u32>) -> u32 {
     if store.is_leaf(slot) {
-        out.extend(store.leaf_ids(slot).iter().filter(|&&id| !deleted.contains(id)));
+        let start = out.len();
+        out.extend_from_slice(store.leaf_ids(slot));
+        let kept = keep_survivors(&mut out[start..], deleted);
+        out.truncate(start + kept);
         return 1;
     }
     let [left, right] = store.hot[slot as usize].kids;
@@ -110,8 +131,8 @@ pub(crate) fn delete_from_tree(
     let root = pass.tree.root;
     pass.delete(root, batch, 0, Link::Root);
     let deepest = pass.builder.deepest();
+    let report = DeleteReport { work: pass.builder.work(), ..pass.report };
     *build = pass.builder.into_buffers();
-    let report = pass.report;
     tree.steps = tree.steps.max(deepest);
     tree.scratch = scratch;
     report
@@ -157,14 +178,7 @@ impl DeletePass<'_> {
                 log.leaf(slot, cold, store.leaf_ids(slot));
             }
             let ids = &mut store.ids[cold.lo as usize..(cold.lo + cold.len) as usize];
-            let mut kept = 0;
-            for i in 0..ids.len() {
-                let id = ids[i];
-                if !self.deleted.contains(id) {
-                    ids[kept] = id;
-                    kept += 1;
-                }
-            }
+            let kept = keep_survivors(ids, self.deleted);
             store.set_leaf_counts(slot, row_u32(kept), cold.n_pos - del_pos);
             self.report.leaves_updated += 1;
             return;
@@ -335,11 +349,7 @@ pub(crate) fn greedy_split_beaten(store: &NodeStore, slot: u32, cfg: &DareConfig
     let chosen_gain = gini_gain(n, n_pos, chosen.n_left, chosen.n_left_pos);
     match best_candidate(pool, n, n_pos, cfg) {
         None => true,
-        Some(best) => {
-            let b = &pool[best];
-            let best_gain = gini_gain(n, n_pos, b.n_left, b.n_left_pos);
-            best_gain > chosen_gain + GAIN_EPS
-        }
+        Some((_, best_gain)) => best_gain > chosen_gain + GAIN_EPS,
     }
 }
 
@@ -348,6 +358,7 @@ mod tests {
     use super::*;
     use crate::config::MaxFeatures;
     use crate::node::NodeRef;
+    use fume_tabular::rng::{Rng, SeedableRng, StdRng};
     use fume_tabular::{Attribute, Schema};
     use std::sync::Arc;
 
@@ -506,6 +517,40 @@ mod tests {
         let mut ids = vec![5, 1, 9, 3, 7];
         ids.retain(|&id| !deleted.contains(id));
         assert_eq!(ids, vec![5, 1, 7]);
+    }
+
+    /// The leaf filter and `collect_survivors` keep exactly what `retain`
+    /// keeps, in order, from deleting nothing up to deleting everything.
+    #[test]
+    fn survivor_filters_match_retain() {
+        let d = data();
+        let cfg = cfg();
+        let tree = build(&d, 15, &cfg);
+        let rows = d.num_rows() as u32;
+        let mut rng = StdRng::seed_from_u64(16);
+        let mut deleted = RowSet::default();
+        for round in 0..60 {
+            let share = f64::from(round) / 59.0;
+            let del: Vec<u32> = (0..rows).filter(|_| rng.gen_bool(share)).collect();
+            deleted.reset(d.num_rows(), &del);
+
+            let len = rng.gen_range(0..=300usize);
+            let ids: Vec<u32> = (0..len).map(|_| rng.gen_range(0..rows)).collect();
+            let mut expected = ids.clone();
+            expected.retain(|&id| !deleted.contains(id));
+            let mut got = ids;
+            let kept = keep_survivors(&mut got, &deleted);
+            assert_eq!(&got[..kept], &expected[..], "round {round}");
+
+            let mut survivors = Vec::new();
+            tree.root().collect_ids(&mut survivors);
+            survivors.retain(|&id| !deleted.contains(id));
+            let mut out = vec![u32::MAX]; // appended to, never overwritten
+            let span = collect_survivors(&tree.store, tree.root, &deleted, &mut out);
+            assert_eq!(out[0], u32::MAX);
+            assert_eq!(&out[1..], &survivors[..], "round {round}");
+            assert_eq!(span as usize, tree.root().size());
+        }
     }
 
     #[test]

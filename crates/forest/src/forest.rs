@@ -248,6 +248,7 @@ impl DareForest {
         fume_obs::counter!("forest.subtrees_rebuilt", total.subtrees_rebuilt);
         fume_obs::counter!("forest.nodes_updated", total.nodes_updated);
         fume_obs::counter!("forest.leaves_updated", total.leaves_updated);
+        total.work.emit();
         Ok(total)
     }
 
@@ -341,6 +342,7 @@ fn emit_delete_counters(n_deleted: usize, total: &DeleteReport) {
     fume_obs::counter!("forest.nodes_updated", total.nodes_updated);
     fume_obs::counter!("forest.leaves_updated", total.leaves_updated);
     fume_obs::counter!("forest.candidates_replenished", total.candidates_replenished);
+    total.work.emit();
 }
 
 #[cfg(test)]

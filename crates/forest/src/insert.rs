@@ -20,7 +20,7 @@
 use fume_tabular::cast::row_u32;
 use fume_tabular::Dataset;
 
-use crate::builder::{candidate_valid, TreeBuilder};
+use crate::builder::{candidate_valid, BuildWork, TreeBuilder};
 use crate::config::DareConfig;
 use crate::delete::greedy_split_beaten;
 use crate::journal::Link;
@@ -36,6 +36,8 @@ pub struct InsertReport {
     pub subtrees_rebuilt: usize,
     /// Leaves that absorbed instances without structural change.
     pub leaves_updated: usize,
+    /// Nodes built and rows histogrammed and partitioned.
+    pub work: BuildWork,
 }
 
 impl InsertReport {
@@ -44,6 +46,7 @@ impl InsertReport {
         self.nodes_updated += other.nodes_updated;
         self.subtrees_rebuilt += other.subtrees_rebuilt;
         self.leaves_updated += other.leaves_updated;
+        self.work.merge(&other.work);
     }
 }
 
@@ -73,8 +76,8 @@ pub(crate) fn insert_into_tree(
     let root = pass.tree.root;
     pass.insert(root, batch, 0, Link::Root);
     let deepest = pass.builder.deepest();
+    let report = InsertReport { work: pass.builder.work(), ..pass.report };
     *build = pass.builder.into_buffers();
-    let report = pass.report;
     tree.steps = tree.steps.max(deepest);
     tree.scratch = scratch;
     report

@@ -57,6 +57,7 @@ pub mod routing;
 pub mod tree;
 pub mod validate;
 
+pub use builder::BuildWork;
 pub use config::{DareConfig, MaxFeatures};
 pub use delete::DeleteReport;
 pub use forest::{DareForest, ForestError};

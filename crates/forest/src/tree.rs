@@ -82,6 +82,7 @@ impl DareTree {
         let mut store = NodeStore::default();
         let mut builder = TreeBuilder::new(data, cfg);
         let root = builder.build(&mut store, &mut ids, 0, &mut rng);
+        builder.work().emit();
         store.shrink_to_fit();
         let steps = builder.deepest();
         Self { store, root, steps, orphans: 0, rng, scratch: Scratch::default() }

@@ -12,9 +12,16 @@
 //! * **Panic containment** — a worker panic propagates out of the scope
 //!   on join rather than poisoning shared state silently.
 //!
-//! The helpers chunk work contiguously (`ceil(len / jobs)` per worker):
-//! with deterministic per-item seeds that also keeps any given item on a
-//! stable worker for a fixed `(len, jobs)`.
+//! [`parallel_map`] balances its items: each worker claims the next
+//! unclaimed index from a shared counter, so a slow item does not leave
+//! the other workers idle behind a fixed share of the list. Which worker
+//! runs an item is therefore not stable between runs; callers must make
+//! an item's result depend only on the item (per-item seeds, pooled
+//! state restored after use), never on the worker or on which items ran
+//! before it on the same thread. The mutable helpers chunk work
+//! contiguously (`ceil(len / jobs)` per worker).
+
+use fume_obs::sync::Counter;
 
 /// The machine's available parallelism, with a serial fallback when the
 /// runtime cannot tell (the query itself is not a determinism hazard —
@@ -31,7 +38,9 @@ pub fn resolve_jobs(n_jobs: Option<usize>, work_items: usize) -> usize {
 
 /// Maps `f` over `items` using at most `jobs` scoped threads, preserving
 /// input order. `jobs <= 1` (or a single item) runs inline with no
-/// thread machinery at all.
+/// thread machinery at all. Workers claim items one at a time from a
+/// shared counter, so uneven item costs keep every worker busy until the
+/// list runs out.
 pub fn parallel_map<T: Sync, R: Send>(
     items: &[T],
     jobs: usize,
@@ -40,20 +49,27 @@ pub fn parallel_map<T: Sync, R: Send>(
     if jobs <= 1 || items.len() <= 1 {
         return items.iter().map(f).collect();
     }
-    let chunk = items.len().div_ceil(jobs);
-    let mut out: Vec<Option<R>> = (0..items.len()).map(|_| None).collect();
-    std::thread::scope(|scope| {
-        let mut workers = Vec::with_capacity(jobs);
-        for (slot_chunk, item_chunk) in out.chunks_mut(chunk).zip(items.chunks(chunk)) {
-            let f = &f;
-            workers.push(scope.spawn(move || {
-                for (slot, item) in slot_chunk.iter_mut().zip(item_chunk) {
-                    *slot = Some(f(item));
-                }
-            }));
-        }
-        join_all(workers);
+    let next = Counter::new(0);
+    let results: Vec<Vec<(usize, R)>> = std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..jobs.min(items.len()))
+            .map(|_| {
+                let (f, next) = (&f, &next);
+                scope.spawn(move || {
+                    let mut done = Vec::with_capacity(items.len().div_ceil(jobs));
+                    loop {
+                        let i = usize::try_from(next.add(1)).unwrap_or(usize::MAX);
+                        let Some(item) = items.get(i) else { break done };
+                        done.push((i, f(item)));
+                    }
+                })
+            })
+            .collect();
+        join_all(workers)
     });
+    let mut out: Vec<Option<R>> = (0..items.len()).map(|_| None).collect();
+    for (i, r) in results.into_iter().flatten() {
+        out[i] = Some(r);
+    }
     collect_slots(out)
 }
 
@@ -155,20 +171,20 @@ pub fn scoped_workers<T: Send>(
 /// closure to return; joining also waits for the thread to exit, so the
 /// allocator has taken back the thread's arena before the next scope's
 /// workers start and they reuse it instead of opening new ones.
-fn join_all<T>(workers: Vec<std::thread::ScopedJoinHandle<'_, T>>) {
-    for worker in workers {
-        if let Err(panic) = worker.join() {
-            std::panic::resume_unwind(panic);
-        }
-    }
+fn join_all<T>(workers: Vec<std::thread::ScopedJoinHandle<'_, T>>) -> Vec<T> {
+    workers
+        .into_iter()
+        .map(|worker| worker.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic)))
+        .collect()
 }
 
-/// Unwraps the slot vector every helper fills. Chunking covers every
-/// index exactly once, so an empty slot is unreachable; the expect is
-/// the single audited join point for the whole worker module.
+/// Unwraps the slot vector every helper fills. Chunking, or claiming
+/// indices from one counter, covers every index exactly once, so an
+/// empty slot is unreachable; the expect is the single audited join
+/// point for the whole worker module.
 fn collect_slots<R>(out: Vec<Option<R>>) -> Vec<R> {
     out.into_iter()
-        // fume-lint: allow(F001) -- slot-partition invariant: zip over chunks_mut covers every index exactly once, and a worker panic propagates from the scope before this line runs
+        // fume-lint: allow(F001) -- slot-partition invariant: zip over chunks_mut, or a shared counter handing out each index once until the list runs out, covers every index exactly once, and a worker panic propagates from the scope before this line runs
         .map(|o| o.expect("all slots filled"))
         .collect()
 }
@@ -184,6 +200,26 @@ mod tests {
         let parallel = parallel_map(&items, 4, |&x| x * 2);
         assert_eq!(serial, parallel);
         assert_eq!(parallel[10], 20);
+    }
+
+    /// With item costs that differ by orders of magnitude, workers claim
+    /// items out of order, and the results still come back in input
+    /// order, each computed once.
+    #[test]
+    fn parallel_map_keeps_input_order_under_uneven_costs() {
+        let items: Vec<u64> = (0..60).collect();
+        let calls = Counter::new(0);
+        let spin = |x: u64| {
+            calls.add(1);
+            // Every seventh item costs far more than the rest.
+            let rounds = if x.is_multiple_of(7) { 200_000 } else { 10 };
+            (0..rounds).fold(x, |acc, r| std::hint::black_box(acc.wrapping_mul(31).wrapping_add(r)))
+        };
+        let expected: Vec<u64> = items.iter().map(|&x| spin(x)).collect();
+        for jobs in [2, 3, 8] {
+            assert_eq!(parallel_map(&items, jobs, |&x| spin(x)), expected, "jobs {jobs}");
+        }
+        assert_eq!(calls.get(), 4 * items.len() as u64, "each item computed once per map");
     }
 
     #[test]

@@ -101,6 +101,9 @@ FUME_DEEPCHECK=1 cargo test -q --offline --profile deepcheck -p fume-core checkp
 FUME_DEEPCHECK=1 cargo test -q --offline --profile deepcheck -p fume-obs fault
 
 echo "==> forest fingerprints, node store and unlearning exactness under FUME_DEEPCHECK=1"
+# The library's unit tests check the builder's row kernels (partition,
+# survivor filters, one-pass histograms, the cut fast path) against
+# reference versions, with overflow checks on their cursor arithmetic.
 # The golden test pins the serialized bytes of fitted, unlearned,
 # rolled-back and inserted forests; the node-store test checks the
 # prediction kernel against the reference walk and the raw arrays after
@@ -108,7 +111,7 @@ echo "==> forest fingerprints, node store and unlearning exactness under FUME_DE
 # rollback also re-validates the whole forest, and every full prediction
 # pass is compared bitwise with the reference walk.
 FUME_DEEPCHECK=1 cargo test -q --offline --profile deepcheck -p fume-forest \
-    --test golden_fingerprint --test node_store
+    --lib --test golden_fingerprint --test node_store
 FUME_DEEPCHECK=1 cargo test -q --offline --profile deepcheck --test unlearning_exactness
 
 echo "==> lock-order deadlock detector: inversion fires, clean batteries stay silent"
