@@ -16,6 +16,7 @@ use fume_tabular::{Dataset, GroupSpec};
 use crate::attribution::AttributionEstimator;
 use crate::checkpoint::{self, Checkpoint, CheckpointError};
 use crate::config::FumeConfig;
+use crate::prepared::{self, Prepared};
 use crate::removal::{DareRemoval, SharedAdapter};
 use crate::request::{ExplainRequest, ModelSpec, RemovalSpec};
 
@@ -237,13 +238,20 @@ impl Fume {
     ///   obtained; [`RemovalSpec::Shared`] lends a caller-owned warm
     ///   method and therefore requires a prebuilt model;
     /// * an attached [`EvalMemo`](crate::EvalMemo) is consulted before
-    ///   every unlearn-eval.
+    ///   every unlearn-eval;
+    /// * an attached [`Prepared`] value supplies the model's fairness
+    ///   snapshot, the level-1 frontier and the checkpoint fingerprint
+    ///   instead of a prediction pass, a column scan and a hash of the
+    ///   forest.
     ///
     /// Incompatible combinations (e.g. exact DaRE unlearning of an
     /// opaque classifier) fail with [`FumeError::InvalidRequest`].
     pub fn run(&self, request: &ExplainRequest<'_>) -> Result<FumeReport, FumeError> {
         if request.train.is_empty() || request.test.is_empty() {
             return Err(FumeError::EmptyData);
+        }
+        if let Some(prepared) = request.prepared {
+            prepared.check(&self.config, request)?;
         }
         match (&request.removal, request.model) {
             (RemovalSpec::Shared(shared), Some(model)) => {
@@ -303,11 +311,17 @@ impl Fume {
         let params = self.config.search_params()?;
         let target = self.checkpoint_target(request, model)?;
         let model = model.as_classifier();
-        let (snapshot, original_fairness) = {
+        let (original_accuracy, original_fairness) = {
             let _span = fume_obs::span!("fume.phase.violation_check");
-            let snapshot = fairness_report(model, test, group);
-            let fairness = self.config.metric.from_confusion(&snapshot.confusion);
-            (snapshot, fairness)
+            let fresh;
+            let snapshot = match request.prepared {
+                Some(prepared) => prepared.snapshot(model, test, group),
+                None => {
+                    fresh = fairness_report(model, test, group);
+                    &fresh
+                }
+            };
+            (snapshot.accuracy, self.config.metric.from_confusion(&snapshot.confusion))
         };
         let original_bias = original_fairness.abs();
         if original_bias <= f64::EPSILON {
@@ -329,7 +343,7 @@ impl Fume {
         let t0 = Stopwatch::start();
         let outcome = {
             let _span = fume_obs::span!("fume.phase.search");
-            self.search(train, &params, &estimator, target)?
+            self.search(train, &params, &estimator, target, request.prepared)?
         };
         let search_time = t0.elapsed();
         let unlearn_time = estimator.eval_time();
@@ -356,7 +370,7 @@ impl Fume {
             metric: self.config.metric,
             original_bias,
             original_fairness,
-            original_accuracy: snapshot.accuracy,
+            original_accuracy,
             unlearning_operations: outcome.evaluations,
             search_time,
             training_time: Duration::ZERO,
@@ -378,16 +392,11 @@ impl Fume {
         let Some(dir) = &self.config.checkpoint_dir else {
             return Ok(None);
         };
-        let ModelSpec::Forest(forest) = model else {
-            return Err(FumeError::InvalidRequest(
-                "a checkpointed run needs a DaRE forest model: the checkpoint \
-                 fingerprints the forest, and an opaque classifier cannot be checked \
-                 on resume"
-                    .into(),
-            ));
-        };
-        let data = checkpoint::fingerprint(request.train, request.test, request.group);
-        let fp = checkpoint::fingerprint_model(data, forest);
+        let forest = prepared::checkpointed_forest(model)?;
+        let fp = request
+            .prepared
+            .and_then(|p| p.fingerprint(request, forest))
+            .unwrap_or_else(|| prepared::checkpoint_fingerprint(request, forest));
         if let Some(ckpt) = &self.resumed {
             checkpoint::validate(ckpt, &self.config, fp)?;
             fume_obs::counter!("ckpt.resumes", 1);
@@ -395,18 +404,20 @@ impl Fume {
         Ok(Some((dir, fp)))
     }
 
-    /// The level-wise search: a fresh one, or the resumed checkpoint's
-    /// continued. With a checkpoint `target`, the [`SearchState`] is saved
-    /// (atomically) at every level boundary. The search is deterministic
-    /// per level (the scratch pool restores the deployed forest exactly
-    /// after every unlearn-eval), so re-running the level a crash
-    /// interrupted yields the same ρ values the uninterrupted run computed.
+    /// The level-wise search: a fresh one (from the `prepared` level 1
+    /// when there is one), or the resumed checkpoint's continued. With a
+    /// checkpoint `target`, the [`SearchState`] is saved (atomically) at
+    /// every level boundary. The search is deterministic per level (the
+    /// scratch pool restores the deployed forest exactly after every
+    /// unlearn-eval), so re-running the level a crash interrupted yields
+    /// the same ρ values the uninterrupted run computed.
     fn search<E: BatchEvaluator>(
         &self,
         train: &Dataset,
         params: &SearchParams,
         evaluator: &E,
         target: Option<(&Path, u64)>,
+        prepared: Option<&Prepared>,
     ) -> Result<SearchOutcome, FumeError> {
         // The span `lattice::search` emits, so traces name the loop alike.
         let _span = fume_obs::span!(
@@ -414,9 +425,12 @@ impl Fume {
             eta = params.max_literals,
             rows = train.num_rows()
         );
-        let mut driver = match &self.resumed {
-            Some(ckpt) => SearchDriver::with_state(train, params, ckpt.state.clone()),
-            None => SearchDriver::new(train, params),
+        let mut driver = match (&self.resumed, prepared) {
+            (Some(ckpt), _) => SearchDriver::with_state(train, params, ckpt.state.clone()),
+            (None, Some(prepared)) => {
+                SearchDriver::with_state(train, params, prepared.level1(train, params))
+            }
+            (None, None) => SearchDriver::new(train, params),
         };
         let save = |state: &SearchState| match target {
             Some((dir, fp)) => checkpoint::save_state(dir, &self.config, fp, state),

@@ -2,9 +2,10 @@
 //! with parallel batch evaluation.
 
 use std::collections::HashMap;
-use fume_obs::sync::Counter;
 
 use fume_obs::clock::{Duration, Stopwatch};
+use fume_obs::hash::WordHashBuilder;
+use fume_obs::sync::Counter;
 use fume_tabular::workers;
 
 use fume_fairness::FairnessMetric;
@@ -139,7 +140,8 @@ impl<R: RemovalMethod> BatchEvaluator for AttributionEstimator<'_, R> {
 
         // Dedupe identical row selections: `slot_of[i]` maps item `i` to
         // its evaluation in `unique`.
-        let mut first_of: HashMap<&[u32], usize> = HashMap::with_capacity(items.len());
+        let mut first_of: HashMap<&[u32], usize, WordHashBuilder> =
+            HashMap::with_capacity_and_hasher(items.len(), WordHashBuilder::default());
         let mut unique: Vec<&[u32]> = Vec::with_capacity(items.len());
         let mut slot_of: Vec<usize> = Vec::with_capacity(items.len());
         for item in items {

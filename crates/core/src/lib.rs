@@ -27,6 +27,7 @@ pub mod checkpoint;
 pub mod config;
 pub mod instance_attribution;
 pub mod path_mining;
+pub mod prepared;
 pub mod removal;
 pub mod report;
 pub mod report_json;
@@ -40,6 +41,7 @@ pub use baseline::{drop_unpriv_unfavor, BaselineResult};
 pub use config::FumeConfig;
 pub use instance_attribution::{overlap_with_subset, rank_instances, InstanceAttribution};
 pub use path_mining::{mine_unfair_paths, MinedPattern};
+pub use prepared::Prepared;
 pub use removal::{
     BiasEval, DareCloneRemoval, DareRemoval, GbdtRetrainRemoval, RemovalDyn, RemovalMethod,
     RetrainRemoval, SharedAdapter,

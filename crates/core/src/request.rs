@@ -6,7 +6,8 @@
 //! process each wired the same inputs differently. An
 //! [`ExplainRequest`] bundles everything one run needs — the data split,
 //! the protected group, an optional prebuilt model, an optional removal
-//! override, and an optional cross-request eval memo — and
+//! override, an optional cross-request eval memo, and optionally the
+//! model's per-engine [`Prepared`] value — and
 //! [`Fume::run`](crate::Fume::run) is the single code path that executes
 //! it.
 
@@ -14,6 +15,7 @@ use fume_forest::DareForest;
 use fume_tabular::{Classifier, Dataset, GroupSpec};
 
 use crate::attribution::EvalMemo;
+use crate::prepared::Prepared;
 use crate::removal::RemovalDyn;
 
 /// The deployed model a request explains, when the caller already has
@@ -117,6 +119,11 @@ pub struct ExplainRequest<'a> {
     /// across requests must only be attached to requests whose data,
     /// metric, and model identity match its keys.
     pub memo: Option<&'a dyn EvalMemo>,
+    /// The model's fairness snapshot and level-1 frontier (and, for a
+    /// checkpointed run, its fingerprint), computed once for many runs
+    /// (see [`Prepared`]). Like the memo, the caller owns scoping: it
+    /// must have been built from this request's data and model.
+    pub prepared: Option<&'a Prepared>,
 }
 
 impl std::fmt::Debug for ExplainRequest<'_> {
@@ -128,6 +135,7 @@ impl std::fmt::Debug for ExplainRequest<'_> {
             .field("model", &self.model)
             .field("removal", &self.removal)
             .field("memo", &self.memo.is_some())
+            .field("prepared", &self.prepared.is_some())
             .finish()
     }
 }
@@ -136,7 +144,15 @@ impl<'a> ExplainRequest<'a> {
     /// A request with FUME's defaults: train a forest, explain with
     /// exact DaRE unlearning, no memo.
     pub fn new(train: &'a Dataset, test: &'a Dataset, group: GroupSpec) -> Self {
-        Self { train, test, group, model: None, removal: RemovalSpec::Dare, memo: None }
+        Self {
+            train,
+            test,
+            group,
+            model: None,
+            removal: RemovalSpec::Dare,
+            memo: None,
+            prepared: None,
+        }
     }
 
     /// Explains an already-trained DaRE forest instead of training one.
@@ -167,6 +183,13 @@ impl<'a> ExplainRequest<'a> {
     #[must_use]
     pub fn with_memo(mut self, memo: &'a dyn EvalMemo) -> Self {
         self.memo = Some(memo);
+        self
+    }
+
+    /// Attaches a [`Prepared`] value (see [`ExplainRequest::prepared`]).
+    #[must_use]
+    pub fn with_prepared(mut self, prepared: &'a Prepared) -> Self {
+        self.prepared = Some(prepared);
         self
     }
 }

@@ -15,7 +15,7 @@
 use fume_tabular::{float, Dataset};
 
 use crate::expand::{
-    expand_level_with, expand_singleton_with, level1_nodes_with, LatticeNode,
+    expand_level_with, expand_singleton_with, level1_nodes_with, LatticeNode, LiteralGen,
 };
 use crate::params::{LatticeError, SearchParams};
 use crate::predicate::Predicate;
@@ -170,8 +170,14 @@ impl SearchState {
     /// The state before any level has run: level 1's frontier generated,
     /// nothing evaluated.
     pub fn initial(data: &Dataset, params: &SearchParams) -> Self {
-        let frontier =
-            level1_nodes_with(data, &params.exclude_attrs, params.literal_gen);
+        Self::initial_with(data, &params.exclude_attrs, params.literal_gen)
+    }
+
+    /// [`initial`](Self::initial) from the only two parameters level 1
+    /// depends on, so one state can start searches that differ in
+    /// support range, `η` or toggles.
+    pub fn initial_with(data: &Dataset, exclude_attrs: &[u16], gen: LiteralGen) -> Self {
+        let frontier = level1_nodes_with(data, exclude_attrs, gen);
         Self {
             next_level: 1,
             possible: frontier.len(),

@@ -24,7 +24,9 @@ use fume_obs::clock::Duration;
 use fume_obs::sync::{Counter, TrackedCondvar, TrackedGuard, TrackedMutex};
 
 use fume_core::checkpoint;
-use fume_core::{DareRemoval, ExplainRequest, Fume, FumeConfig, FumeError, FumeReport, RemovalSpec};
+use fume_core::{
+    DareRemoval, ExplainRequest, Fume, FumeConfig, FumeError, FumeReport, Prepared, RemovalSpec,
+};
 use fume_fairness::FairnessMetric;
 use fume_forest::DareForest;
 use fume_lattice::SupportRange;
@@ -219,6 +221,9 @@ struct QueueState {
 struct Shared<'e> {
     engine: &'e Engine,
     removal: DareRemoval<'e>,
+    /// The model's snapshot, level 1 and (under a checkpoint root)
+    /// fingerprint, attached to every job.
+    prepared: Result<Prepared, FumeError>,
     state: TrackedMutex<QueueState>,
     work: TrackedCondvar,
     next_id: Counter,
@@ -240,13 +245,15 @@ impl Shared<'_> {
                 }
                 let engine = self.engine;
                 let cfg = engine.job_config(id, overrides)?;
+                let prepared = self.prepared.as_ref().map_err(|e| ServeError::Fume(e.clone()))?;
                 let scope = rho_scope(engine.fingerprint, cfg.metric, &cfg.forest);
                 let memo = ScopedMemo::new(&engine.cache, scope);
                 let fume = Fume::new(cfg);
-                let request = ExplainRequest::new(&engine.train, &engine.test, engine.group)
-                    .with_model(&engine.forest)
+                let request = engine
+                    .request()
                     .with_removal(RemovalSpec::Shared(&self.removal))
-                    .with_memo(&memo);
+                    .with_memo(&memo)
+                    .with_prepared(prepared);
                 let report = fume.run(&request)?;
                 Ok(JobReply::Report(report))
             }
@@ -462,8 +469,14 @@ impl Engine {
         }
     }
 
+    /// A request for the engine's data and forest.
+    fn request(&self) -> ExplainRequest<'_> {
+        ExplainRequest::new(&self.train, &self.test, self.group).with_model(&self.forest)
+    }
+
     /// The per-job config: base config + request overrides + engine
-    /// placement (worker layout, per-job checkpoint directory).
+    /// placement (worker layout, per-job checkpoint directory). A config
+    /// the search would refuse is a bad request.
     fn job_config(&self, id: u64, overrides: &ExplainOverrides) -> Result<FumeConfig, ServeError> {
         let mut cfg = self.config.clone();
         if let Some(metric) = overrides.metric {
@@ -479,14 +492,26 @@ impl Engine {
         if let Some(k) = overrides.top_k {
             cfg.top_k = k;
         }
+        cfg.search_params().map_err(|e| ServeError::BadRequest(e.to_string()))?;
         cfg.n_jobs = Some(self.opts.job_jobs.max(1));
         cfg.checkpoint_dir =
             self.opts.checkpoint_root.as_ref().map(|root| root.join(format!("job-{id}")));
         Ok(cfg)
     }
 
+    /// What every job of a session shares: the model's fairness
+    /// snapshot, level 1 under the base config's literal configuration
+    /// (no override changes it), and, under a checkpoint root, the
+    /// fingerprint every job checkpoints under.
+    fn prepare(&self) -> Result<Prepared, FumeError> {
+        let mut config = self.config.clone();
+        config.checkpoint_dir.clone_from(&self.opts.checkpoint_root);
+        Prepared::new(&self.request(), &config)
+    }
+
     /// Runs the engine: brings up the worker pool around a warm scratch
-    /// pool, calls `f` with a submission handle, then drains and joins.
+    /// pool and the session's [`Prepared`] value, calls `f` with a
+    /// submission handle, then drains and joins.
     ///
     /// Jobs submitted by `f` (from any thread `f` fans out to — the
     /// handle is `Copy + Sync`) execute on the pool concurrently.
@@ -502,6 +527,7 @@ impl Engine {
         let shared = Shared {
             engine: self,
             removal,
+            prepared: self.prepare(),
             state: TrackedMutex::new("serve.engine.queue", QueueState::default()),
             work: TrackedCondvar::new(),
             next_id: Counter::new(0),

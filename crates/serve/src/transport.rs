@@ -324,6 +324,24 @@ mod tests {
     }
 
     #[test]
+    fn zero_max_literals_is_a_bad_request_and_the_session_goes_on() {
+        let input = "\
+            {\"op\":\"explain\",\"id\":\"eta\",\"max_literals\":0}\n\
+            {\"op\":\"explain\",\"id\":\"ok\",\"max_literals\":1}\n";
+        let (exit, lines) = run_session(input);
+        assert_eq!(exit, ServeExit::Eof);
+        assert_eq!(lines.len(), 2, "{lines:?}");
+        assert!(
+            lines[0].contains("\"id\":\"eta\"")
+                && lines[0].contains("\"kind\":\"bad_request\"")
+                && lines[0].contains("max_literals must be at least 1"),
+            "{}",
+            lines[0]
+        );
+        assert!(lines[1].contains("\"id\":\"ok\"") && lines[1].contains("\"ok\":true"));
+    }
+
+    #[test]
     fn a_line_that_is_not_utf8_gets_a_typed_error_and_the_session_goes_on() {
         let input: &[u8] =
             b"{\"op\":\"ping\",\"id\":\"a\"}\n\xff\xfe not utf8\n{\"op\":\"ping\",\"id\":\"b\"}\n";

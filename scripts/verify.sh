@@ -118,9 +118,14 @@ echo "==> lock-order deadlock detector: inversion fires, clean batteries stay si
 # The fume-obs sync suite includes a deliberate AB/BA inversion that must
 # produce a CycleReport, plus consistent-order runs that must not; the
 # serve battery asserts zero cycles across a warm+cold session and a
-# poison-recovery round (fume.sync.* counters).
+# poison-recovery round (fume.sync.* counters), and every served job
+# recomputes the session's prepared snapshot, level 1 and fingerprint
+# and asserts them equal. fume-serve's unit tests run the eval cache's
+# slab list against a reference LRU with overflow checks on its index
+# arithmetic.
 FUME_DEEPCHECK=1 cargo test -q --offline --profile deepcheck -p fume-obs sync
 FUME_DEEPCHECK=1 cargo test -q --offline --profile deepcheck --test serve_engine
+FUME_DEEPCHECK=1 cargo test -q --offline --profile deepcheck -p fume-serve --lib
 
 echo "==> fault-injection smoke: run -> inject -> resume -> diff against a plain run"
 # Faults only exist in debug builds; build the debug CLI explicitly.

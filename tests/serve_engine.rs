@@ -157,6 +157,70 @@ fn checkpointed_jobs_report_what_plain_jobs_do() {
     let _ = std::fs::remove_dir_all(&root);
 }
 
+/// The engine builds each session's level-1 frontier once, under its
+/// base config's literal configuration. With an excluded attribute and
+/// range literals, every served report, cold or warm, must equal a plain
+/// `Fume::run` of the job's config: a frontier built under another
+/// literal configuration ranks other subsets, or is refused.
+#[test]
+fn served_reports_with_exclusions_and_range_literals_match_plain_runs() {
+    let _g = serial();
+    use fume::core::{ExplainRequest, Fume};
+    use fume::fairness::FairnessMetric;
+    use fume::forest::DareForest;
+    use fume::lattice::LiteralGen;
+    use fume::tabular::datasets::german_credit;
+
+    let (data, group) = german_credit().generate_scaled(0.2, 41).unwrap();
+    let (train, test) = train_test_split(&data, 0.3, 41).unwrap();
+    let mut base = FumeConfig::default()
+        .with_forest(DareConfig::default().with_trees(5).with_seed(41))
+        .with_support(SupportRange::new(0.05, 0.30).unwrap())
+        .with_literal_gen(LiteralGen::WithRanges);
+    base.exclude_attrs = vec![u16::try_from(group.attr).unwrap()];
+    let forest = DareForest::fit(&train, base.forest.clone());
+    let overrides = [
+        ExplainOverrides::default(),
+        ExplainOverrides {
+            metric: Some(FairnessMetric::EqualizedOdds),
+            ..ExplainOverrides::default()
+        },
+        ExplainOverrides {
+            support: Some((0.10, 0.40)),
+            max_literals: Some(3),
+            ..ExplainOverrides::default()
+        },
+    ];
+    let request = ExplainRequest::new(&train, &test, group).with_model(&forest);
+    let plain: Vec<String> = overrides
+        .iter()
+        .map(|o| {
+            let mut config = base.clone().with_jobs(1);
+            config.metric = o.metric.unwrap_or(config.metric);
+            if let Some((min, max)) = o.support {
+                config.support = SupportRange::new(min, max).unwrap();
+            }
+            config.max_literals = o.max_literals.unwrap_or(config.max_literals);
+            Fume::new(config).run(&request).unwrap().to_json()
+        })
+        .collect();
+
+    let opts = EngineOptions { workers: 1, ..EngineOptions::default() };
+    let engine = Engine::with_forest(base, train.clone(), test.clone(), group, forest.clone(), opts)
+        .unwrap();
+    let served: Vec<String> = engine.serve(|h| {
+        overrides
+            .iter()
+            .chain(&overrides)
+            .map(|o| report_json(h.explain(o.clone()).unwrap().wait().unwrap()))
+            .collect()
+    });
+    for (i, got) in served.iter().enumerate() {
+        assert_eq!(*got, plain[i % overrides.len()], "request {i}: served report differs");
+    }
+    assert!(engine.stats().cache.hits > 0, "the repeated requests hit the cache");
+}
+
 #[test]
 fn warm_repeat_performs_zero_unlearn_evals() {
     let _g = serial();
