@@ -283,13 +283,14 @@ impl Fume {
         }
     }
 
-    /// Explains `forest` through the pooled [`DareRemoval`].
+    /// Explains `forest` through the pooled [`DareRemoval`], rerouting
+    /// each eval's prediction pass over the request's test set.
     fn run_dare(
         &self,
         forest: &DareForest,
         request: &ExplainRequest<'_>,
     ) -> Result<FumeReport, FumeError> {
-        let removal = DareRemoval::new(forest, request.train);
+        let removal = DareRemoval::new(forest, request.train).with_test(request.test);
         self.run_inner(removal, ModelSpec::Forest(forest), request)
     }
 

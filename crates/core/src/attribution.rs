@@ -202,11 +202,12 @@ impl<R: RemovalMethod> BatchEvaluator for AttributionEstimator<'_, R> {
             }
             // Correctness mode: re-derive every memo hit from scratch and
             // demand bitwise agreement — a scope-confused memo (wrong
-            // dataset/metric/model in the key) fails loudly here.
+            // dataset/metric/model in the key) fails loudly here. The
+            // recomputation is an audit: it adds no counts of work.
             if fume_forest::deepcheck::enabled() {
                 for (i, rows) in unique.iter().enumerate() {
                     if let Some(cached) = rho_unique[i] {
-                        let fresh = self.rho(rows);
+                        let fresh = fume_obs::audit(|| self.rho(rows));
                         assert!(
                             cached.to_bits() == fresh.to_bits(),
                             "FUME_DEEPCHECK: memoised ρ {cached} != recomputed ρ {fresh} \

@@ -31,8 +31,9 @@ use crate::request::{ExplainRequest, ModelSpec};
 /// way an [`EvalMemo`](crate::EvalMemo) is scoped. A run whose
 /// `exclude_attrs` or `literal_gen` differ from the ones it was built
 /// with is refused with [`FumeError::InvalidRequest`]. Under
-/// `FUME_DEEPCHECK=1` every run recomputes each part it takes and
-/// asserts that they are equal.
+/// `FUME_DEEPCHECK=1` every run recomputes each part it takes, as an
+/// [`fume_obs::audit`] that adds no counts of work, and asserts that they
+/// are equal.
 ///
 /// ```
 /// use fume_core::{ExplainRequest, Fume, FumeConfig, Prepared};
@@ -129,7 +130,7 @@ impl Prepared {
     ) -> &FairnessReport {
         if fume_forest::deepcheck::enabled() {
             assert_eq!(
-                fairness_report(model, test, group),
+                fume_obs::audit(|| fairness_report(model, test, group)),
                 self.snapshot,
                 "FUME_DEEPCHECK: the prepared fairness snapshot differs from the model's"
             );
@@ -141,7 +142,7 @@ impl Prepared {
     pub(crate) fn level1(&self, train: &Dataset, params: &SearchParams) -> SearchState {
         if fume_forest::deepcheck::enabled() {
             assert!(
-                SearchState::initial(train, params) == self.level1,
+                fume_obs::audit(|| SearchState::initial(train, params)) == self.level1,
                 "FUME_DEEPCHECK: the prepared level-1 frontier differs from a fresh scan"
             );
         }
@@ -158,7 +159,7 @@ impl Prepared {
         let fp = self.fingerprint?;
         if fume_forest::deepcheck::enabled() {
             assert_eq!(
-                checkpoint_fingerprint(request, forest),
+                fume_obs::audit(|| checkpoint_fingerprint(request, forest)),
                 fp,
                 "FUME_DEEPCHECK: the prepared checkpoint fingerprint differs from the run's"
             );

@@ -10,7 +10,10 @@
 //! Implementations:
 //! * [`DareRemoval`] — FUME's fast path: each worker leases a scratch
 //!   forest from a pool (cloned once, not once per subset), journals the
-//!   deletion, measures, then rolls the scratch back byte-identically;
+//!   deletion, measures, then rolls the scratch back byte-identically.
+//!   Built [`with_test`](DareRemoval::with_test), it measures the bias
+//!   over that test set with the rerouted pass, which walks only the
+//!   test rows under the subtrees the deletion rebuilt;
 //! * [`DareCloneRemoval`] — the pre-pool shape: clone the deployed
 //!   forest per call and batch-delete (kept as the bench baseline);
 //! * [`RetrainRemoval`] — the naive gold standard: fit a fresh forest on
@@ -18,10 +21,12 @@
 //!   efficiency baseline);
 //! * [`GbdtRetrainRemoval`] — model-agnostic retraining for GBDTs.
 
+use std::sync::OnceLock;
+
 use fume_obs::sync::{TrackedGuard, TrackedMutex};
 
 use fume_fairness::FairnessMetric;
-use fume_forest::{DareConfig, DareForest, Gbdt, GbdtConfig};
+use fume_forest::{DareConfig, DareForest, Gbdt, GbdtConfig, LeafRoutes, UndoJournal};
 use fume_tabular::{Classifier, Dataset, GroupSpec};
 
 /// One bias measurement, fully specified: which metric, over which
@@ -44,6 +49,12 @@ impl BiasEval<'_> {
     /// over every test row and a fresh confusion tally.
     pub fn full(&self, model: &dyn Classifier) -> f64 {
         self.metric.bias(model, self.test, self.group)
+    }
+
+    /// `|F(h, test)|` of a model whose `predict_proba(test)` is `proba`:
+    /// bitwise [`Self::full`] of that model.
+    pub fn of_proba(&self, proba: &[f64]) -> f64 {
+        self.metric.evaluate_proba(proba, self.test, self.group).abs()
     }
 }
 
@@ -167,6 +178,10 @@ impl RemovalMethod for SharedAdapter<'_> {
 pub struct DareRemoval<'a> {
     forest: &'a DareForest,
     train: &'a Dataset,
+    /// The test set [`RemovalMethod::bias_removed`] reroutes for, and the
+    /// forest's routes over it once built.
+    test: Option<&'a Dataset>,
+    routes: OnceLock<LeafRoutes<'a>>,
     pool: TrackedMutex<Vec<DareForest>>,
 }
 
@@ -184,8 +199,30 @@ impl<'a> DareRemoval<'a> {
         Self {
             forest,
             train,
+            test: None,
+            routes: OnceLock::new(),
             pool: TrackedMutex::with_recovery("core.scratch_pool", Vec::new(), reset_pool),
         }
+    }
+
+    /// Measures bias over `test` with the rerouted pass: a
+    /// [`RemovalMethod::bias_removed`] whose [`BiasEval`] is over this
+    /// very dataset (the same address) walks only the test rows under the
+    /// subtrees the delete rebuilt, and answers bitwise what the full pass
+    /// answers. An eval over any other dataset takes the full pass. The
+    /// forest's [`LeafRoutes`] over `test` are built once, by
+    /// [`RemovalMethod::warm`] or by the first such eval; they borrow
+    /// `test` for `'a`, so no other dataset can sit at its address while
+    /// they live.
+    pub fn with_test(mut self, test: &'a Dataset) -> Self {
+        self.test = Some(test);
+        self
+    }
+
+    /// The routes over `test`, if it is the dataset of [`Self::with_test`].
+    fn routes_for(&self, test: &Dataset) -> Option<&LeafRoutes<'a>> {
+        let own = self.test.filter(|&own| std::ptr::eq(own, test))?;
+        Some(self.routes.get_or_init(|| LeafRoutes::build(self.forest, own)))
     }
 
     /// Number of scratch forests currently resting in the pool.
@@ -226,16 +263,17 @@ impl<'a> DareRemoval<'a> {
         fume_obs::fault::fault_point("scratch-pool-release");
         pool.push(scratch);
     }
-}
 
-impl RemovalMethod for DareRemoval<'_> {
-    fn with_removed<T>(&self, subset: &[u32], f: impl FnOnce(&dyn Classifier) -> T) -> T {
+    /// Leases a scratch forest, journal-deletes `subset` from it, runs `f`
+    /// on the unlearned scratch and its journal, then rolls the scratch
+    /// back and returns it to the pool.
+    fn with_journal<T>(&self, subset: &[u32], f: impl FnOnce(&DareForest, &UndoJournal) -> T) -> T {
         let mut scratch = self.lease();
         // Lattice selections come from the training universe the forest
         // was fitted on, so the per-call presence scan is skipped.
         let journal = scratch.delete_journaled(subset, self.train);
         fume_obs::counter!("fume.journal.bytes", journal.approx_bytes());
-        let out = f(&scratch);
+        let out = f(&scratch, &journal);
         let restored = scratch.rollback(journal);
         fume_obs::counter!("fume.rollback.nodes_restored", restored);
         debug_assert_eq!(&scratch, self.forest, "rollback must restore the snapshot");
@@ -243,8 +281,31 @@ impl RemovalMethod for DareRemoval<'_> {
         self.release(scratch);
         out
     }
+}
 
+impl RemovalMethod for DareRemoval<'_> {
+    fn with_removed<T>(&self, subset: &[u32], f: impl FnOnce(&dyn Classifier) -> T) -> T {
+        self.with_journal(subset, |scratch, _| f(scratch))
+    }
+
+    /// The rerouted pass when `eval` is over the dataset of
+    /// [`DareRemoval::with_test`], the full pass otherwise; bitwise the
+    /// same answer either way.
+    fn bias_removed(&self, subset: &[u32], eval: &BiasEval<'_>) -> f64 {
+        match self.routes_for(eval.test) {
+            Some(routes) => self.with_journal(subset, |scratch, journal| {
+                eval.of_proba(&routes.predict_proba(scratch, journal))
+            }),
+            None => self.with_removed(subset, |model| eval.full(model)),
+        }
+    }
+
+    /// Builds the routes of [`DareRemoval::with_test`], then fills the
+    /// scratch pool.
     fn warm(&self, workers: usize) {
+        if let Some(test) = self.test {
+            self.routes_for(test);
+        }
         let mut pool = self.pool_guard();
         while pool.len() < workers.max(1) {
             pool.push(self.forest.clone());
@@ -401,6 +462,47 @@ mod tests {
             let b = cloning.with_removed(&subset, |m| metric.bias(m, &test, group));
             assert_eq!(a.to_bits(), b.to_bits(), "pool and clone paths must agree");
         }
+    }
+
+    #[test]
+    fn rerouted_evals_match_the_clone_path_on_every_metric() {
+        let (data, group) = planted_toy().generate_scaled(0.4, 68).unwrap();
+        let (train, test) = fume_tabular::split::train_test_split(&data, 0.3, 68).unwrap();
+        let forest = DareForest::fit(&train, DareConfig::small(68));
+        let rerouted = DareRemoval::new(&forest, &train).with_test(&test);
+        rerouted.warm(1);
+        assert!(rerouted.routes.get().is_some(), "warm builds the routes");
+        let cloning = DareCloneRemoval::new(&forest, &train);
+        let n = train.num_rows() as u32;
+        let subsets: [Vec<u32>; 4] = [vec![], vec![0, 3, 9], (0..n / 4).collect(), (0..n).collect()];
+        for metric in FairnessMetric::EXTENDED {
+            let eval = BiasEval { metric, test: &test, group };
+            for subset in &subsets {
+                let a = rerouted.bias_removed(subset, &eval);
+                let b = cloning.bias_removed(subset, &eval);
+                let what = format!("{} over {} rows", metric.name(), subset.len());
+                assert_eq!(a.to_bits(), b.to_bits(), "{what}");
+            }
+        }
+        assert_eq!(forest, DareForest::fit(&train, DareConfig::small(68)), "deployed untouched");
+    }
+
+    #[test]
+    fn an_eval_over_another_dataset_takes_the_full_pass() {
+        let (data, group) = planted_toy().generate_scaled(0.3, 69).unwrap();
+        let (train, test) = fume_tabular::split::train_test_split(&data, 0.3, 69).unwrap();
+        let forest = DareForest::fit(&train, DareConfig::small(69));
+        let removal = DareRemoval::new(&forest, &train).with_test(&test);
+        let copy = test.clone();
+        let metric = FairnessMetric::StatisticalParity;
+        let subset: Vec<u32> = (0..40).collect();
+        let on_copy = removal.bias_removed(&subset, &BiasEval { metric, test: &copy, group });
+        assert!(removal.routes.get().is_none(), "a copy of the test set is not rerouted");
+        let on_test = removal.bias_removed(&subset, &BiasEval { metric, test: &test, group });
+        assert!(removal.routes.get().is_some(), "the test set itself is");
+        assert_eq!(on_copy.to_bits(), on_test.to_bits());
+        let full = removal.with_removed(&subset, |m| metric.bias(m, &test, group));
+        assert_eq!(on_test.to_bits(), full.to_bits());
     }
 
     #[test]

@@ -94,8 +94,15 @@ impl FairnessMetric {
         data: &Dataset,
         group: GroupSpec,
     ) -> f64 {
+        self.evaluate_proba(&h.predict_proba(data), data, group)
+    }
+
+    /// [`Self::evaluate`] of a classifier whose `predict_proba(data)` is
+    /// `proba`, thresholded as [`Classifier::predict`] thresholds it.
+    pub fn evaluate_proba(self, proba: &[f64], data: &Dataset, group: GroupSpec) -> f64 {
         fume_obs::counter!("fairness.metric_evals", 1);
-        let preds = h.predict(data);
+        let preds: Vec<bool> =
+            proba.iter().map(|&p| fume_tabular::float::positive_class(p)).collect();
         self.compute(&preds, data.labels(), &data.privileged_mask(group))
     }
 

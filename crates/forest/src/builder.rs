@@ -213,7 +213,9 @@ pub(crate) struct BuildBuffers {
     /// The current greedy node's candidates, or a replenishment's.
     staging: Vec<Candidate>,
     /// Right-hand ids of the partition in progress. It only grows, and
-    /// is written before it is read, so it is never cleared.
+    /// is written before it is read, so it is never cleared. A fit or
+    /// rebuild partition sizes it to its right side (see
+    /// [`TreeBuilder::split_ids`]), which is what bounds it.
     spill: Vec<u32>,
 }
 
@@ -338,7 +340,7 @@ impl<'a> TreeBuilder<'a> {
             if n_left < msl || n - n_left < msl {
                 continue;
             }
-            self.partition(ids, attr, threshold);
+            self.split_ids(ids, attr, threshold, n_left);
             let cold = Cold { n, n_pos, lo: 0, len: 0, chosen: 0, random: true };
             let slot = store.push_internal(attr, threshold, cold, &[]);
             self.work.nodes_built += 1;
@@ -388,7 +390,7 @@ impl<'a> TreeBuilder<'a> {
         let cold = Cold { n, n_pos, lo: 0, len: 0, chosen: row_u32(chosen), random: false };
         let slot = store.push_internal(attr, threshold, cold, &self.bufs.staging);
         self.work.nodes_built += 1;
-        self.partition(ids, attr, threshold);
+        self.split_ids(ids, attr, threshold, n_left);
         let (left_ids, right_ids) = ids.split_at_mut(n_left as usize);
         let left = self.build_node(store, left_ids, n_left_pos, depth + 1, rng);
         let right = self.build_node(store, right_ids, n_pos - n_left_pos, depth + 1, rng);
@@ -458,11 +460,33 @@ impl<'a> TreeBuilder<'a> {
     /// (never ahead of the read position) and at the right cursor in the
     /// spill, and the comparison advances one of the two cursors.
     pub(crate) fn partition(&mut self, ids: &mut [u32], attr: u16, threshold: u16) -> usize {
+        self.partition_spilling(ids, attr, threshold, ids.len())
+    }
+
+    /// [`Self::partition`] of a node's ids when its histogram already
+    /// counted the `n_left` that go left, as every fit and rebuild does.
+    /// The right cursor never passes `ids.len() - n_left`, so the spill
+    /// needs one slot more than the right side, not one per id.
+    fn split_ids(&mut self, ids: &mut [u32], attr: u16, threshold: u16, n_left: u32) {
+        let room = ids.len() - n_left as usize + 1;
+        let counted = self.partition_spilling(ids, attr, threshold, room);
+        debug_assert_eq!(counted, n_left as usize, "the histogram counted the left side");
+    }
+
+    /// [`Self::partition`], growing the spill to at least `room` slots
+    /// first: a right cursor that passes them is out of bounds.
+    fn partition_spilling(
+        &mut self,
+        ids: &mut [u32],
+        attr: u16,
+        threshold: u16,
+        room: usize,
+    ) -> usize {
         self.work.rows_partitioned += ids.len();
         let column = self.data.column(attr as usize);
         let spill = &mut self.bufs.spill;
-        if spill.len() < ids.len() {
-            spill.resize(ids.len(), 0);
+        if spill.len() < room {
+            spill.resize(room, 0);
         }
         let (mut n_left, mut n_right) = (0, 0);
         for i in 0..ids.len() {
@@ -625,6 +649,14 @@ mod tests {
                 let mut got = ids.clone();
                 assert_eq!(b.partition(&mut got, attr, thr), n_left, "len {len} thr {thr}");
                 assert_eq!(got, expected, "len {len} attr {attr} thr {thr}");
+
+                // A fit's partition, told `n_left`, grows a fresh spill to
+                // one slot past the right side and no further.
+                let mut fresh = TreeBuilder::new(&d, &c);
+                let mut got = ids.clone();
+                fresh.split_ids(&mut got, attr, thr, n_left as u32);
+                assert_eq!(got, expected, "split_ids: len {len} attr {attr} thr {thr}");
+                assert_eq!(fresh.bufs.spill.len(), got.len() - n_left + 1, "len {len} thr {thr}");
             }
         }
     }

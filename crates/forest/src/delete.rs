@@ -241,7 +241,7 @@ impl DeletePass<'_> {
         tree.relink(link, rebuilt);
         tree.orphans += displaced;
         if let Some(log) = self.log.as_deref_mut() {
-            log.relink(link, slot);
+            log.relink(link, slot, row_u32(depth));
         }
         self.report.subtrees_retrained += 1;
     }

@@ -56,9 +56,10 @@ pub(crate) enum Record {
     /// pre-replenish pool saved at `pools[at..at + len]` and its chosen
     /// index. Replenishment never grows a pool, so it stays in its range.
     Pool { slot: u32, len: u32, chosen: u32, at: u32 },
-    /// A subtree was rebuilt: `link` pointed at `old`, which stays intact
-    /// until the rollback truncates the rebuild away.
-    Relink { link: Link, old: u32 },
+    /// A subtree was rebuilt: `link` pointed at `old`, which sits at
+    /// `depth` and stays intact until the rollback truncates the rebuild
+    /// away. The rebuilt subtree's root hangs from `link` at that depth.
+    Relink { link: Link, old: u32, depth: u32 },
 }
 
 /// The records of one journaled deletion on one tree and the side
@@ -101,9 +102,10 @@ impl UndoLog {
         self.records.push(Record::Pool { slot, len: cold.len, chosen: cold.chosen, at });
     }
 
-    /// Records that `link` pointed at `old` before a rebuild.
-    pub(crate) fn relink(&mut self, link: Link, old: u32) {
-        self.records.push(Record::Relink { link, old });
+    /// Records that `link` pointed at `old`, at `depth`, before a
+    /// rebuild.
+    pub(crate) fn relink(&mut self, link: Link, old: u32, depth: u32) {
+        self.records.push(Record::Relink { link, old, depth });
     }
 
     /// Saved leaf ids.
@@ -228,7 +230,7 @@ mod tests {
         log.leaf(4, Cold { len: 3, ..cold }, &[7, 8, 9]);
         log.stats(2, cold, &pool);
         log.pool(2, cold, &pool);
-        log.relink(Link::Child { parent: 2, right: true }, 5);
+        log.relink(Link::Child { parent: 2, right: true }, 5, 1);
         assert_eq!(log.records.len(), 4);
         let Record::Leaf { at, n, .. } = log.records[0] else { panic!("leaf record first") };
         assert_eq!(log.saved_ids(at, n), &[7, 8, 9]);

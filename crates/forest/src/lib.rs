@@ -36,7 +36,9 @@
 //! subtrees; a rollback replays a flat undo log and truncates; a clone is
 //! a few array copies. Full prediction passes run a blocked, 8-lane
 //! kernel over the live hot arrays, bitwise identical to the reference
-//! walk (see the [`plan`] module).
+//! walk (see the [`plan`] module). After a journaled delete,
+//! [`LeafRoutes`] gives the same answer walking only the test rows under
+//! the subtrees the delete rebuilt (see the [`routes`] module).
 
 #![warn(missing_docs)]
 
@@ -53,6 +55,7 @@ pub mod journal;
 pub mod node;
 pub mod persist;
 pub mod plan;
+pub mod routes;
 pub mod routing;
 pub mod tree;
 pub mod validate;
@@ -66,5 +69,6 @@ pub use insert::InsertReport;
 pub use journal::{TreeUndo, UndoJournal};
 pub use node::{Candidate, NodeRef, NodeStore};
 pub use plan::{PredictPlan, BLOCK_ROWS};
+pub use routes::LeafRoutes;
 pub use routing::{DirtyRows, RoutingIndex};
 pub use tree::DareTree;

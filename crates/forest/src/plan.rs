@@ -36,7 +36,10 @@
 //! descents in flight overlap those chains and turn the walk
 //! throughput-bound. `FUME_DEEPCHECK=1` cross-checks the bitwise claim on
 //! every full pass in debug builds, and `benches/predict_kernel.rs`
-//! asserts it at bench scale before comparing speed.
+//! asserts it at bench scale before comparing speed. The same 8-lane
+//! descent, started at any slot for any step count, routes the test rows
+//! for [`LeafRoutes`](crate::LeafRoutes) and walks the rows of a rerouted
+//! pass from a rebuilt subtree's root (see [`routes`](crate::routes)).
 //!
 //! ## The plan
 //!
@@ -61,7 +64,7 @@ pub const BLOCK_ROWS: usize = 256;
 /// Interleaved descents per kernel step: enough independent load chains
 /// to keep the memory ports busy while each chain waits out its own
 /// latency, few enough that the lane state stays in registers.
-const LANES: usize = 8;
+pub(crate) const LANES: usize = 8;
 
 /// One tree as the kernel walks it.
 #[derive(Debug, Clone, Copy)]
@@ -77,11 +80,17 @@ pub(crate) struct HotTree<'a> {
 
 impl HotTree<'_> {
     /// Slot of the leaf `row` lands in: exactly [`Self::steps`] indexed
-    /// steps, no leaf test, no direction branch.
+    /// steps from the root, no leaf test, no direction branch.
     #[inline]
     pub(crate) fn route_row(&self, data: &Dataset, row: usize) -> usize {
-        let mut i = self.root as usize;
-        for _ in 0..self.steps {
+        self.route_from(data, row, self.root, self.steps)
+    }
+
+    /// Slot `row` reaches after `steps` indexed steps from `start`.
+    #[inline]
+    pub(crate) fn route_from(&self, data: &Dataset, row: usize, start: u32, steps: u32) -> usize {
+        let mut i = start as usize;
+        for _ in 0..steps {
             let node = &self.nodes[i];
             let go = usize::from(data.code(row, node.attr as usize) > node.threshold);
             i = node.kids[go] as usize;
@@ -95,24 +104,67 @@ impl HotTree<'_> {
         self.nodes[self.route_row(data, row)].proba
     }
 
-    /// Descends [`LANES`] consecutive rows (`first_row..first_row +
-    /// LANES`) through this tree at once, returning their leaf
-    /// probabilities. Each lane's walk is a serial chain of dependent
-    /// loads; running the lanes in lockstep keeps that many independent
-    /// chains in flight, which is what makes the kernel faster than any
-    /// single-row walk can be. The self-looping leaves make lockstep
-    /// trivially correct: lanes that land early just spin in place.
+    /// Descends the [`LANES`] rows `rows` at once, `steps` steps from
+    /// `start`, returning the slots they reach. Each lane's walk is a
+    /// serial chain of dependent loads; running the lanes in lockstep
+    /// keeps that many independent chains in flight, which is what makes
+    /// the kernel faster than any single-row walk can be. The
+    /// self-looping leaves make lockstep trivially correct: lanes that
+    /// land early just spin in place.
     #[inline]
-    fn predict_lanes(&self, data: &Dataset, first_row: usize) -> [f64; LANES] {
-        let mut idx = [self.root as usize; LANES];
-        for _ in 0..self.steps {
-            for (lane, i) in idx.iter_mut().enumerate() {
+    pub(crate) fn route_lanes(
+        &self,
+        data: &Dataset,
+        rows: [usize; LANES],
+        start: u32,
+        steps: u32,
+    ) -> [usize; LANES] {
+        let mut idx = [start as usize; LANES];
+        for _ in 0..steps {
+            for (i, &row) in idx.iter_mut().zip(&rows) {
                 let node = &self.nodes[*i];
-                let code = data.code(first_row + lane, node.attr as usize);
+                let code = data.code(row, node.attr as usize);
                 *i = node.kids[usize::from(code > node.threshold)] as usize;
             }
         }
-        idx.map(|i| self.nodes[i].proba)
+        idx
+    }
+
+    /// [`Self::route_lanes`], returning the leaf probabilities the rows
+    /// reach.
+    #[inline]
+    pub(crate) fn predict_lanes(
+        &self,
+        data: &Dataset,
+        rows: [usize; LANES],
+        start: u32,
+        steps: u32,
+    ) -> [f64; LANES] {
+        self.route_lanes(data, rows, start, steps).map(|i| self.nodes[i].proba)
+    }
+
+    /// Adds to `out[row]`, for each row of `rows`, the probability of the
+    /// leaf it reaches `steps` steps from `start`: [`LANES`] rows at a
+    /// time, the tail one by one.
+    pub(crate) fn add_walks(
+        &self,
+        data: &Dataset,
+        rows: &[u32],
+        start: u32,
+        steps: u32,
+        out: &mut [f64],
+    ) {
+        let mut groups = rows.chunks_exact(LANES);
+        for group in &mut groups {
+            let rows: [usize; LANES] = std::array::from_fn(|lane| group[lane] as usize);
+            for (row, p) in rows.into_iter().zip(self.predict_lanes(data, rows, start, steps)) {
+                out[row] += p;
+            }
+        }
+        for &row in groups.remainder() {
+            let leaf = self.route_from(data, row as usize, start, steps);
+            out[row as usize] += self.nodes[leaf].proba;
+        }
     }
 }
 
@@ -121,7 +173,7 @@ impl HotTree<'_> {
 /// trees-outer / rows-inner within each block — the exact
 /// accumulate-then-divide float order of the reference walk, so the
 /// result is bitwise identical to it. Emits a `plan.predict_block` span
-/// per pass.
+/// and `forest.tree_row_walks` (trees × rows) per pass.
 ///
 /// # Panics
 /// If `out.len() != data.num_rows()`.
@@ -134,6 +186,7 @@ pub(crate) fn predict_into(trees: &[HotTree<'_>], data: &Dataset, out: &mut [f64
         return;
     }
     let _span = fume_obs::span!("plan.predict_block", rows = out.len(), trees = trees.len());
+    fume_obs::counter!("forest.tree_row_walks", trees.len() * out.len());
     let k = trees.len() as f64;
     let mut start = 0usize;
     while start < data.num_rows() {
@@ -148,7 +201,8 @@ pub(crate) fn predict_into(trees: &[HotTree<'_>], data: &Dataset, out: &mut [f64
             // way, so the interleave cannot perturb the float sequence.
             let mut off = 0usize;
             while off + LANES <= block.len() {
-                let probas = tree.predict_lanes(data, start + off);
+                let rows = std::array::from_fn(|lane| start + off + lane);
+                let probas = tree.predict_lanes(data, rows, tree.root, tree.steps);
                 for (slot, p) in block[off..off + LANES].iter_mut().zip(probas) {
                     *slot += p;
                 }

@@ -166,7 +166,7 @@ impl DareTree {
         let store = &mut self.store;
         for &record in log.records.iter().rev() {
             match record {
-                Record::Relink { link, old } => match link {
+                Record::Relink { link, old, .. } => match link {
                     Link::Root => self.root = old,
                     Link::Child { parent, right } => {
                         store.hot[parent as usize].kids[usize::from(right)] = old;
@@ -217,6 +217,16 @@ impl DareTree {
         let report = insert_into_tree(self, ins, data, cfg);
         self.compact_if_sparse();
         report
+    }
+
+    /// The slot that hangs from `link`.
+    pub(crate) fn link_target(&self, link: Link) -> u32 {
+        match link {
+            Link::Root => self.root,
+            Link::Child { parent, right } => {
+                self.store.hot[parent as usize].kids[usize::from(right)]
+            }
+        }
     }
 
     /// Hangs the subtree at `to` from `link`.

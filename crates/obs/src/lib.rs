@@ -33,6 +33,7 @@ mod span;
 pub mod sync;
 pub mod trace;
 
+use std::cell::Cell;
 use std::sync::OnceLock;
 
 pub use hist::Histogram;
@@ -122,14 +123,39 @@ pub fn global() -> Option<&'static Recorder> {
     }
 }
 
-/// Adds to a named counter on the installed recorder (no-op when none).
-/// Call sites normally go through [`counter!`], which skips the call
-/// entirely when disabled.
+/// Adds to a named counter on the installed recorder (no-op when none,
+/// and inside an [`audit`]). Call sites normally go through
+/// [`counter!`], which skips the call entirely when disabled.
 #[inline]
 pub fn add_counter(name: &'static str, delta: u64) {
     if let Some(rec) = global() {
-        rec.add_counter(name, delta);
+        if !AUDITING.with(Cell::get) {
+            rec.add_counter(name, delta);
+        }
     }
+}
+
+thread_local! {
+    /// Whether this thread is inside an [`audit`].
+    static AUDITING: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Runs `f` as an audit: a check that recomputes work the program
+/// already did (a `FUME_DEEPCHECK` comparison, say) to assert the
+/// answers agree. The counters the calling thread adds while `f` runs
+/// are dropped, so turning audits on leaves every count of work as it
+/// was; spans still record. Only the calling thread is muted: work an
+/// audit fans out to other threads still counts.
+pub fn audit<T>(f: impl FnOnce() -> T) -> T {
+    /// Restores the outer state, on unwind too.
+    struct Restore(bool);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            AUDITING.with(|a| a.set(self.0));
+        }
+    }
+    let _restore = Restore(AUDITING.with(|a| a.replace(true)));
+    f()
 }
 
 /// Sets a named gauge on the installed recorder (no-op when none).
@@ -308,6 +334,29 @@ mod tests {
                 }
             });
             assert_eq!(rec.counter_value("t.hits"), Some(800));
+        });
+    }
+
+    #[test]
+    fn audits_add_no_counts_on_their_thread() {
+        with_global(|rec| {
+            counter!("t.audited", 1u64);
+            audit(|| {
+                counter!("t.audited", 10u64);
+                audit(|| counter!("t.audited", 10u64));
+                // The nested audit's end leaves the outer one on.
+                counter!("t.audited", 10u64);
+                // Another thread is not in the audit.
+                std::thread::scope(|s| {
+                    s.spawn(|| counter!("t.audited", 100u64));
+                });
+            });
+            counter!("t.audited", 1u64);
+            assert_eq!(rec.counter_value("t.audited"), Some(102));
+            let unwound = std::panic::catch_unwind(|| audit(|| panic!("inside an audit")));
+            assert!(unwound.is_err());
+            counter!("t.audited", 1u64);
+            assert_eq!(rec.counter_value("t.audited"), Some(103), "an unwind ends the audit");
         });
     }
 

@@ -519,7 +519,9 @@ impl Engine {
     /// worker has exited; if `f` panics, the drain still completes
     /// before the panic resumes.
     pub fn serve<T: Send>(&self, f: impl FnOnce(EngineHandle<'_, '_>) -> T + Send) -> T {
-        let removal = DareRemoval::new(&self.forest, &self.train);
+        // Warming builds the leaf routes once per session; building them
+        // in `with_forest` would add to the setup of every engine.
+        let removal = DareRemoval::new(&self.forest, &self.train).with_test(&self.test);
         {
             use fume_core::RemovalMethod;
             removal.warm(self.opts.workers.max(1) * self.opts.job_jobs.max(1));

@@ -107,12 +107,17 @@ echo "==> forest fingerprints, node store and unlearning exactness under FUME_DE
 # The golden test pins the serialized bytes of fitted, unlearned,
 # rolled-back and inserted forests; the node-store test checks the
 # prediction kernel against the reference walk and the raw arrays after
-# every rollback. With deep checks on, every journaled delete and
-# rollback also re-validates the whole forest, and every full prediction
-# pass is compared bitwise with the reference walk.
+# every rollback; the rerouted-pass test checks each eval's rerouted
+# prediction pass against the full pass and the reference walk. With
+# deep checks on, every journaled delete and rollback also re-validates
+# the whole forest, every full prediction pass is compared bitwise with
+# the reference walk, and every rerouted pass with the full pass.
 FUME_DEEPCHECK=1 cargo test -q --offline --profile deepcheck -p fume-forest \
-    --lib --test golden_fingerprint --test node_store
+    --lib --test golden_fingerprint --test node_store --test rerouted_pass
 FUME_DEEPCHECK=1 cargo test -q --offline --profile deepcheck --test unlearning_exactness
+# The work ledger's pinned counts must not move under deep checks: every
+# audit recomputation runs inside `fume_obs::audit`, which adds no counts.
+FUME_DEEPCHECK=1 cargo test -q --offline --profile deepcheck --test work_ledger
 
 echo "==> lock-order deadlock detector: inversion fires, clean batteries stay silent"
 # The fume-obs sync suite includes a deliberate AB/BA inversion that must

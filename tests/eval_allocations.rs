@@ -10,7 +10,9 @@
 //! eval, a second `bias_removed` on the same subset runs on a leased
 //! scratch forest whose arrays already have the capacity the delete
 //! needs, so what it allocates is the per-eval cost of journaled delete,
-//! full prediction pass and rollback.
+//! prediction pass and rollback. The eval is measured twice: with the
+//! full prediction pass, and with the rerouted pass of a removal built
+//! `with_test`, which must allocate no more.
 //!
 //! ```text
 //! cargo test --test eval_allocations -- --nocapture   # prints the counts
@@ -110,12 +112,18 @@ fn a_warm_eval_and_a_clone_allocate_a_bounded_number_of_times() {
     let forest = DareForest::fit(&train, config);
     let subset = pattern_near_ten_percent(&train);
 
-    let removal = DareRemoval::new(&forest, &train);
-    removal.warm(1);
     let eval = BiasEval { metric: FairnessMetric::StatisticalParity, test: &test, group };
-    let cold = removal.bias_removed(&subset, &eval);
-    let (warm, eval_allocs, eval_frees) = counted(|| removal.bias_removed(&subset, &eval));
-    assert_eq!(cold.to_bits(), warm.to_bits(), "a repeated eval must give the same bias");
+    let warm_eval = |removal: &DareRemoval<'_>| {
+        removal.warm(1);
+        let cold = removal.bias_removed(&subset, &eval);
+        let (warm, allocs, frees) = counted(|| removal.bias_removed(&subset, &eval));
+        assert_eq!(cold.to_bits(), warm.to_bits(), "a repeated eval must give the same bias");
+        (warm, allocs, frees)
+    };
+    let (full, eval_allocs, eval_frees) = warm_eval(&DareRemoval::new(&forest, &train));
+    let (rerouted, rerouted_allocs, rerouted_frees) =
+        warm_eval(&DareRemoval::new(&forest, &train).with_test(&test));
+    assert_eq!(full.to_bits(), rerouted.to_bits(), "both passes must give the same bias");
 
     let (clone, clone_allocs, clone_frees) = counted(|| forest.clone());
     assert_eq!(clone, forest);
@@ -123,12 +131,17 @@ fn a_warm_eval_and_a_clone_allocate_a_bounded_number_of_times() {
 
     eprintln!(
         "subset {} rows; eval: {eval_allocs} allocations, {eval_frees} frees; \
+         rerouted eval: {rerouted_allocs} allocations, {rerouted_frees} frees; \
          clone: {clone_allocs} allocations, {clone_frees} frees",
         subset.len()
     );
     assert!(
         eval_allocs * 10 <= POINTER_TREE_EVAL_ALLOCS,
         "a warm eval made {eval_allocs} allocations"
+    );
+    assert!(
+        rerouted_allocs <= eval_allocs,
+        "a warm rerouted eval made {rerouted_allocs} allocations, the full pass {eval_allocs}"
     );
     assert!(
         clone_allocs * 10 <= POINTER_TREE_CLONE_ALLOCS,

@@ -6,13 +6,17 @@
 //! the builder's two row loops, for the fit and for every delete pass of
 //! the search. For a given seed they do not depend on the host or on the
 //! number of workers, so a change that makes the builder do other work
-//! (not the same work faster) moves them. Re-pin [`PINNED`] only in a
-//! change that means to alter the work, and say so.
+//! (not the same work faster) moves them. `forest.tree_row_walks` counts
+//! the (tree, row) descents of the prediction passes. Re-pin [`PINNED`]
+//! only in a change that means to alter the work, and say so.
 //!
 //! The served session counts what an engine does for a fixed request
 //! stream: metric evaluations, executed unlearn-evals, eval-cache hits
-//! and misses, and generated lattice nodes. [`SERVE_PINNED`] moves only
-//! when serving does other work.
+//! and misses, generated lattice nodes and tree-row walks.
+//! [`SERVE_PINNED`] moves only when serving does other work.
+//!
+//! Under `FUME_DEEPCHECK=1` the counts are the same: the deep checks'
+//! recomputations run as `fume_obs::audit`s, which add no counts.
 //!
 //! The recorder is process-global, so the tests take [`serial`] before
 //! they reset and read it.
@@ -28,20 +32,27 @@ use fume::tabular::datasets::adult;
 use fume::tabular::split::train_test_split;
 
 /// The counters, in [`PINNED`] order.
-const COUNTERS: [&str; 3] =
-    ["forest.nodes_built", "forest.rows_histogrammed", "forest.rows_partitioned"];
+const COUNTERS: [&str; 4] = [
+    "forest.nodes_built",
+    "forest.rows_histogrammed",
+    "forest.rows_partitioned",
+    "forest.tree_row_walks",
+];
 
 /// The counts of one Adult 3% × 20-tree explain at η = 2, 5–15% support,
-/// seed 41.
-const PINNED: [u64; 3] = [480_111, 27_399_342, 7_157_152];
+/// seed 41. The walks are one full pass for the violation check, one for
+/// the routes, and the rows under rebuilt subtrees in each eval's
+/// rerouted pass; with a full pass per eval they read 1,359,380.
+const PINNED: [u64; 4] = [480_111, 27_399_342, 7_157_152, 631_457];
 
 /// The served-session counters, in [`SERVE_PINNED`] order.
-const SERVE_COUNTERS: [&str; 5] = [
+const SERVE_COUNTERS: [&str; 6] = [
     "fairness.metric_evals",
     "fume.unlearn_evals",
     "fume.serve.cache.hits",
     "fume.serve.cache.misses",
     "lattice.generated",
+    "forest.tree_row_walks",
 ];
 
 /// The counts of one session of an Adult 2% × 5-tree engine (seed 41,
@@ -50,7 +61,11 @@ const SERVE_COUNTERS: [&str; 5] = [
 /// (the engine's prepared snapshot), and one metric once per executed
 /// eval: 3 + 786. When every request predicted the test set again, the
 /// first count read 3 × 24 + 786 = 858.
-const SERVE_PINNED: [u64; 5] = [789, 786, 2_956, 786, 9_370];
+///
+/// The session walks 5 trees × 271 test rows for the snapshot and again
+/// for the routes, then the rows under rebuilt subtrees per executed eval;
+/// with a full pass per eval (787 passes) the walks read 1,066,385.
+const SERVE_PINNED: [u64; 6] = [789, 786, 2_956, 786, 9_370, 465_094];
 
 /// Serializes the tests of this binary around the global recorder.
 fn serial() -> MutexGuard<'static, ()> {
@@ -59,8 +74,8 @@ fn serial() -> MutexGuard<'static, ()> {
 }
 
 /// Runs the explain with `jobs` workers for the fit and for the evals,
-/// and reads the three counters.
-fn ledger(jobs: usize) -> [u64; 3] {
+/// and reads the [`COUNTERS`].
+fn ledger(jobs: usize) -> [u64; 4] {
     let rec = fume::obs::install();
     rec.reset();
     let seed = 41;
@@ -86,7 +101,7 @@ fn builder_work_is_pinned_and_independent_of_jobs() {
     let serial = ledger(1);
     let parallel = ledger(2);
     assert_eq!(serial, parallel, "the counts of {COUNTERS:?} depend on n_jobs");
-    assert_eq!(serial, PINNED, "the builder's work changed: {COUNTERS:?} read {serial:?}");
+    assert_eq!(serial, PINNED, "the work changed: {COUNTERS:?} read {serial:?}");
 }
 
 /// Two metrics crossed with six overlapping support ranges: the twelve
