@@ -107,7 +107,7 @@ pub fn coherent_subsets(
         .into_iter()
         .chain(level2)
         .filter(|nd| range.contains(nd.support(n)))
-        .map(|nd| (nd.predicate, nd.rows))
+        .map(|nd| (nd.predicate, nd.rows.to_vec()))
         .collect();
     eligible.shuffle(&mut rng);
     eligible.truncate(count);

@@ -240,9 +240,9 @@ impl Fume {
     /// * an attached [`EvalMemo`](crate::EvalMemo) is consulted before
     ///   every unlearn-eval;
     /// * an attached [`Prepared`] value supplies the model's fairness
-    ///   snapshot, the level-1 frontier and the checkpoint fingerprint
-    ///   instead of a prediction pass, a column scan and a hash of the
-    ///   forest.
+    ///   snapshot, the level-1 frontier, its pair table and the
+    ///   checkpoint fingerprint instead of a prediction pass, a column
+    ///   scan, the level-1 join and a hash of the forest.
     ///
     /// Incompatible combinations (e.g. exact DaRE unlearning of an
     /// opaque classifier) fail with [`FumeError::InvalidRequest`].
@@ -359,7 +359,7 @@ impl Fume {
                 support: s.support,
                 parity_reduction: s.rho,
                 phi: -s.rho,
-                rows: s.rows.clone(),
+                rows: s.rows.to_vec(),
             })
             .collect();
         drop(_rank_span);
@@ -406,9 +406,9 @@ impl Fume {
     }
 
     /// The level-wise search: a fresh one (from the `prepared` level 1
-    /// when there is one), or the resumed checkpoint's continued. With a
-    /// checkpoint `target`, the [`SearchState`] is saved (atomically) at
-    /// every level boundary. The search is deterministic per level (the
+    /// and pair table when there is one), or the resumed checkpoint's
+    /// continued. With a checkpoint `target`, the [`SearchState`] is
+    /// saved (atomically) at every level boundary. The search is deterministic per level (the
     /// scratch pool restores the deployed forest exactly after every
     /// unlearn-eval), so re-running the level a crash interrupted yields
     /// the same ρ values the uninterrupted run computed.
@@ -426,10 +426,13 @@ impl Fume {
             eta = params.max_literals,
             rows = train.num_rows()
         );
+        // A resumed search joins level 1 through a table over its own
+        // decoded frontier; a prepared one borrows the prepared table.
         let mut driver = match (&self.resumed, prepared) {
             (Some(ckpt), _) => SearchDriver::with_state(train, params, ckpt.state.clone()),
             (None, Some(prepared)) => {
                 SearchDriver::with_state(train, params, prepared.level1(train, params))
+                    .with_pairs(prepared.pairs())
             }
             (None, None) => SearchDriver::new(train, params),
         };

@@ -406,7 +406,7 @@ fn decode_state(buf: &mut &[u8]) -> Result<SearchState, CheckpointError> {
         if !rho.is_finite() {
             return Err(CheckpointError::Corrupt("non-finite rho"));
         }
-        evaluated.push(EvaluatedSubset { predicate, rows, support, rho, level });
+        evaluated.push(EvaluatedSubset { predicate, rows: rows.into(), support, rho, level });
     }
 
     need(buf, 4, "frontier count")?;
@@ -428,7 +428,7 @@ fn decode_state(buf: &mut &[u8]) -> Result<SearchState, CheckpointError> {
             _ => return Err(CheckpointError::Corrupt("rho tag")),
         };
         let parent_floor = buf.get_f64_le();
-        frontier.push(LatticeNode { predicate, rows, rho, parent_floor });
+        frontier.push(LatticeNode { predicate, rows: rows.into(), rho, parent_floor });
     }
 
     Ok(SearchState {

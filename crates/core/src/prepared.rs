@@ -4,8 +4,9 @@
 //! Before it searches, [`Fume::run`](crate::Fume::run) measures the
 //! deployed model's violation (one prediction pass over the test set),
 //! generates level 1 of the lattice (one scan of the training columns)
-//! and, when it checkpoints, fingerprints the data and the forest. None
-//! of that depends on the metric, the support range, `η` or `k`. A caller
+//! and, when it checkpoints, fingerprints the data and the forest; its
+//! search then joins the expandable level-1 literals pairwise. None of
+//! that depends on the metric, the support range, `η` or `k`. A caller
 //! that explains one model many times builds a [`Prepared`] once and
 //! attaches it to every request with
 //! [`ExplainRequest::with_prepared`]; `fume-serve`'s engine builds one
@@ -13,7 +14,7 @@
 
 use fume_fairness::{fairness_report, FairnessReport};
 use fume_forest::DareForest;
-use fume_lattice::{LiteralGen, SearchParams, SearchState};
+use fume_lattice::{LiteralGen, PairTable, SearchParams, SearchState};
 use fume_tabular::{Classifier, Dataset, GroupSpec};
 
 use crate::algorithm::FumeError;
@@ -21,19 +22,24 @@ use crate::checkpoint;
 use crate::config::FumeConfig;
 use crate::request::{ExplainRequest, ModelSpec};
 
-/// The deployed model's fairness snapshot, level 1 of the lattice and
-/// (for checkpointed runs) the checkpoint fingerprint, computed once.
+/// The deployed model's fairness snapshot, level 1 of the lattice with
+/// its [`PairTable`] and (for checkpointed runs) the checkpoint
+/// fingerprint, computed once.
 ///
 /// A run that carries one skips the violation check's prediction pass
-/// and the level-1 scan, and reports exactly what a run without it
-/// reports. It is built for one request's train, test, group and model,
-/// and the caller attaches it only to requests with those inputs, the
-/// way an [`EvalMemo`](crate::EvalMemo) is scoped. A run whose
-/// `exclude_attrs` or `literal_gen` differ from the ones it was built
-/// with is refused with [`FumeError::InvalidRequest`]. Under
+/// and the level-1 scan, joins each pair of level-1 literals only if no
+/// earlier run over this value has (the table fills as runs ask for its
+/// cells, from any number of threads), and reports exactly what a run
+/// without it reports. It is built for one request's train, test, group
+/// and model, and the caller attaches it only to requests with those
+/// inputs, the way an [`EvalMemo`](crate::EvalMemo) is scoped. A run
+/// whose `exclude_attrs` or `literal_gen` differ from the ones it was
+/// built with, or whose train or test set has another number of rows or
+/// attributes, is refused with [`FumeError::InvalidRequest`]. Data of
+/// the same shape but other values stays the caller's contract: under
 /// `FUME_DEEPCHECK=1` every run recomputes each part it takes, as an
-/// [`fume_obs::audit`] that adds no counts of work, and asserts that they
-/// are equal.
+/// [`fume_obs::audit`] that adds no counts of work, and asserts that
+/// they are equal, which catches it.
 ///
 /// ```
 /// use fume_core::{ExplainRequest, Fume, FumeConfig, Prepared};
@@ -61,17 +67,26 @@ use crate::request::{ExplainRequest, ModelSpec};
 pub struct Prepared {
     snapshot: FairnessReport,
     level1: SearchState,
+    pairs: PairTable,
     exclude_attrs: Vec<u16>,
     literal_gen: LiteralGen,
     fingerprint: Option<u64>,
+    /// Rows and attributes of the train and test sets it was built on.
+    shape: [usize; 4],
+}
+
+/// The rows and attributes of a request's train and test sets.
+fn shape(request: &ExplainRequest<'_>) -> [usize; 4] {
+    let (train, test) = (request.train, request.test);
+    [train.num_rows(), train.num_attributes(), test.num_rows(), test.num_attributes()]
 }
 
 impl Prepared {
     /// Prepares runs of `request`'s model under `config`'s literal
-    /// configuration: predicts the test set and generates level 1. When
-    /// `config` has a checkpoint directory, it also computes the
-    /// fingerprint a checkpointed run saves under (which does not depend
-    /// on the directory).
+    /// configuration: predicts the test set, generates level 1 and sets
+    /// up its empty pair table. When `config` has a checkpoint
+    /// directory, it also computes the fingerprint a checkpointed run
+    /// saves under (which does not depend on the directory).
     ///
     /// The request must carry its model, and a checkpointed preparation
     /// a DaRE forest; otherwise this is
@@ -86,21 +101,23 @@ impl Prepared {
             Some(_) => Some(checkpoint_fingerprint(request, checkpointed_forest(model)?)),
             None => None,
         };
+        let level1 =
+            SearchState::initial_with(request.train, &config.exclude_attrs, config.literal_gen);
         Ok(Self {
             snapshot: fairness_report(model.as_classifier(), request.test, request.group),
-            level1: SearchState::initial_with(
-                request.train,
-                &config.exclude_attrs,
-                config.literal_gen,
-            ),
+            pairs: PairTable::new(request.train, &level1.frontier),
+            level1,
             exclude_attrs: config.exclude_attrs.clone(),
             literal_gen: config.literal_gen,
             fingerprint,
+            shape: shape(request),
         })
     }
 
     /// Refuses a run this value was not built for: one without a model,
-    /// or with another literal configuration.
+    /// with train or test data of another shape (its level 1 would
+    /// select rows the model does not hold), or with another literal
+    /// configuration.
     pub(crate) fn check(
         &self,
         config: &FumeConfig,
@@ -110,6 +127,14 @@ impl Prepared {
             return Err(FumeError::InvalidRequest(
                 "a prepared request needs the model it was prepared for".into(),
             ));
+        }
+        if self.shape != shape(request) {
+            let [rows, attrs, test_rows, test_attrs] = self.shape;
+            return Err(FumeError::InvalidRequest(format!(
+                "the prepared value was built on {rows} training rows × {attrs} attributes \
+                 and {test_rows} test rows × {test_attrs} attributes; this request's data \
+                 has another shape"
+            )));
         }
         if self.exclude_attrs != config.exclude_attrs || self.literal_gen != config.literal_gen {
             return Err(FumeError::InvalidRequest(
@@ -136,6 +161,13 @@ impl Prepared {
             );
         }
         &self.snapshot
+    }
+
+    /// The pair table of [`level1`](Self::level1)'s frontier, shared by
+    /// every run this value is attached to. Under `FUME_DEEPCHECK=1` the
+    /// search compares each expansion it answers with the reference join.
+    pub(crate) fn pairs(&self) -> &PairTable {
+        &self.pairs
     }
 
     /// A fresh search's starting state over `train`.
@@ -233,6 +265,28 @@ mod tests {
         assert!(matches!(Prepared::new(&bare, &config), Err(FumeError::InvalidRequest(_))));
         let err = Fume::new(config).run(&bare.with_prepared(&prepared)).unwrap_err();
         assert!(matches!(err, FumeError::InvalidRequest(_)), "{err}");
+    }
+
+    #[test]
+    fn a_request_over_other_data_is_refused() {
+        let (train, test, group, forest, config) = setup();
+        let request = ExplainRequest::new(&train, &test, group).with_model(&forest);
+        let prepared = Prepared::new(&request, &config).unwrap();
+        // Fewer training rows than the prepared level 1 selects from (a
+        // run would delete rows the model does not hold), then a test set
+        // of another size.
+        let (data, _) = planted_toy().generate_scaled(0.2, 3).unwrap();
+        let (small_train, small_test) = train_test_split(&data, 0.3, 3).unwrap();
+        let small_forest = DareForest::fit(&small_train, config.forest.clone());
+        let fume = Fume::new(config.clone());
+        for other in [
+            ExplainRequest::new(&small_train, &small_test, group).with_model(&small_forest),
+            ExplainRequest::new(&train, &small_test, group).with_model(&forest),
+        ] {
+            let err = fume.run(&other.with_prepared(&prepared)).unwrap_err();
+            assert!(matches!(err, FumeError::InvalidRequest(_)), "{err}");
+        }
+        assert!(fume.run(&request.with_prepared(&prepared)).is_ok());
     }
 
     #[test]

@@ -317,7 +317,7 @@ fn explained_from(obj: &Json) -> Result<ExplainedSubset, FumeError> {
 fn evaluated_from(obj: &Json) -> Result<EvaluatedSubset, FumeError> {
     Ok(EvaluatedSubset {
         predicate: predicate_from(obj, "predicate")?,
-        rows: rows_from(obj, "rows")?,
+        rows: rows_from(obj, "rows")?.into(),
         support: field_f64(obj, "support")?,
         rho: field_f64(obj, "rho")?,
         level: field_usize(obj, "level")?,

@@ -19,25 +19,16 @@ use fume_tabular::Dataset;
 
 use crate::forest::DareForest;
 
-/// Whether deep checking is enabled for this process.
+/// Whether deep checking is enabled for this process
+/// ([`fume_obs::deepcheck_enabled`], which the lattice's checks read
+/// too).
 ///
 /// Reads `FUME_DEEPCHECK` once and caches the answer: the gate sits on
 /// the unlearning hot path, where even a `getenv` per delete would be
 /// measurable. Always `false` in release builds.
 #[inline]
 pub fn enabled() -> bool {
-    if cfg!(debug_assertions) {
-        use std::sync::OnceLock;
-        static ENABLED: OnceLock<bool> = OnceLock::new();
-        *ENABLED.get_or_init(|| {
-            matches!(
-                std::env::var("FUME_DEEPCHECK").as_deref(),
-                Ok("1") | Ok("true") | Ok("TRUE")
-            )
-        })
-    } else {
-        false
-    }
+    fume_obs::deepcheck_enabled()
 }
 
 /// Validates `forest` against `data` if deep checking is enabled,

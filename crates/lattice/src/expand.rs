@@ -1,5 +1,7 @@
 //! Lattice node generation: level-1 literals and the apriori join.
 
+use std::sync::Arc;
+
 use fume_tabular::cast::{code_u16, row_u32};
 use fume_tabular::{AttrKind, Dataset};
 
@@ -29,8 +31,10 @@ pub enum LiteralGen {
 pub struct LatticeNode {
     /// The predicate this node represents.
     pub predicate: Predicate,
-    /// Sorted training-row ids selected by the predicate.
-    pub rows: Vec<u32>,
+    /// Sorted training-row ids selected by the predicate. Shared, not
+    /// copied: a [`PairTable`](crate::PairTable) cell, the frontier, the
+    /// evaluated list and a report hold one allocation per selection.
+    pub rows: Arc<[u32]>,
     /// Parity reduction, `None` until evaluated (oversized nodes are
     /// expanded without evaluation, see Rule 2).
     pub rho: Option<f64>,
@@ -91,7 +95,7 @@ pub fn level1_nodes_with(
                 rows.sort_unstable();
                 nodes.push(LatticeNode {
                     predicate: Predicate::single(Literal { attr, op: Op::Le, value: v }),
-                    rows,
+                    rows: rows.into(),
                     rho: None,
                     parent_floor: f64::NEG_INFINITY,
                 });
@@ -101,7 +105,7 @@ pub fn level1_nodes_with(
                 rows.sort_unstable();
                 nodes.push(LatticeNode {
                     predicate: Predicate::single(Literal { attr, op: Op::Ge, value: v }),
-                    rows,
+                    rows: rows.into(),
                     rho: None,
                     parent_floor: f64::NEG_INFINITY,
                 });
@@ -111,7 +115,7 @@ pub fn level1_nodes_with(
         for (value, rows) in buckets.into_iter().enumerate() {
             nodes.push(LatticeNode {
                 predicate: Predicate::single(Literal::eq(attr, code_u16(value))),
-                rows,
+                rows: rows.into(),
                 rho: None,
                 parent_floor: f64::NEG_INFINITY,
             });
@@ -136,6 +140,9 @@ pub struct Expansion {
     /// e.g. `Age <= 2 ∧ Age <= 3` or a literal subsumed by another
     /// attribute's selection.
     pub pruned_redundant: usize,
+    /// Child selections computed by ANDing two parents' rows in this
+    /// call — work, not outcome. Pairs Rule 1 drops are not joined.
+    pub joined: usize,
 }
 
 /// Expands a frontier of level-`l` nodes into level-`l+1` children via the
@@ -182,7 +189,7 @@ pub fn expand_level_with(
         }
         let group = &order[group_start..group_end];
         if group.len() > 1 {
-            join.bits.load(group.iter().map(|&k| frontier[k].rows.as_slice()));
+            join.bits.load(group.iter().map(|&k| &*frontier[k].rows));
         }
         for (i, &ka) in group.iter().enumerate() {
             for (j, &kb) in group.iter().enumerate().skip(i + 1) {
@@ -190,11 +197,7 @@ pub fn expand_level_with(
                 let Some(child) = a.predicate.join(&b.predicate) else {
                     continue;
                 };
-                let parent_floor = match (a.rho, b.rho) {
-                    (Some(x), Some(y)) => x.max(y),
-                    (Some(x), None) | (None, Some(x)) => x,
-                    (None, None) => f64::NEG_INFINITY,
-                };
+                let parent_floor = parent_floor(a.rho, b.rho);
                 join.child(child, (i, a.rows.len()), (j, b.rows.len()), parent_floor);
             }
         }
@@ -231,9 +234,7 @@ pub fn expand_singleton_with(
     // Slot 0 holds the node, slot `1 + i` the `i`-th fresh literal: the
     // node's literals are level-1 literals themselves, so the slots number
     // at most the level-1 literals, as in a prefix group.
-    join.bits.load(
-        std::iter::once(node.rows.as_slice()).chain(fresh.iter().map(|f| f.rows.as_slice())),
-    );
+    join.bits.load(std::iter::once(&*node.rows).chain(fresh.iter().map(|f| &*f.rows)));
     let parent_floor = node.rho.unwrap_or(f64::NEG_INFINITY);
     for (i, f) in fresh.iter().enumerate() {
         let mut lits = node.predicate.literals().to_vec();
@@ -242,6 +243,16 @@ pub fn expand_singleton_with(
         join.child(child, (0, node.rows.len()), (1 + i, f.rows.len()), parent_floor);
     }
     join.out
+}
+
+/// Rule 4's floor for the child of two parents: the larger of their
+/// parity reductions, ignoring an unevaluated (oversized) parent.
+pub(crate) fn parent_floor(a: Option<f64>, b: Option<f64>) -> f64 {
+    match (a, b) {
+        (Some(x), Some(y)) => x.max(y),
+        (Some(x), None) | (None, Some(x)) => x,
+        (None, None) => f64::NEG_INFINITY,
+    }
 }
 
 /// One level's join: the children so far, the prune counts, and the row
@@ -281,6 +292,7 @@ impl<'d> Join<'d> {
             return;
         }
         let (a, b) = (self.bits.slot(a), self.bits.slot(b));
+        self.out.joined += 1;
         let len = and_count(a, b);
         // A child selecting exactly a parent's rows adds literals without
         // changing the subset — keep the simpler parent.
@@ -301,19 +313,21 @@ impl<'d> Join<'d> {
 /// set for every training row `r` the group's `i`-th parent selects, one
 /// `u64` per 64 rows. The buffer is reloaded from group to group, so it
 /// holds one group at a time; a group has at most one parent per level-1
-/// literal, which bounds it by `literals × rows / 8` bytes.
-struct RowBits {
+/// literal, which bounds it by `literals × rows / 8` bytes. A
+/// [`PairTable`](crate::PairTable) loads it once, with every level-1
+/// literal.
+pub(crate) struct RowBits {
     words: usize,
     bits: Vec<u64>,
 }
 
 impl RowBits {
-    fn new(rows: usize) -> Self {
+    pub(crate) fn new(rows: usize) -> Self {
         Self { words: rows.div_ceil(64), bits: Vec::new() }
     }
 
     /// Replaces the slots with one bitset per row-id selection.
-    fn load<'s>(&mut self, selections: impl Iterator<Item = &'s [u32]>) {
+    pub(crate) fn load<'s>(&mut self, selections: impl Iterator<Item = &'s [u32]>) {
         self.bits.clear();
         for rows in selections {
             let start = self.bits.len();
@@ -325,29 +339,35 @@ impl RowBits {
         }
     }
 
-    fn slot(&self, i: usize) -> &[u64] {
+    pub(crate) fn slot(&self, i: usize) -> &[u64] {
         &self.bits[i * self.words..(i + 1) * self.words]
     }
 }
 
 /// Number of rows set in both bitsets.
-fn and_count(a: &[u64], b: &[u64]) -> usize {
+pub(crate) fn and_count(a: &[u64], b: &[u64]) -> usize {
     a.iter().zip(b).map(|(x, y)| (x & y).count_ones() as usize).sum()
 }
 
-/// The ascending ids of the `len` rows set in both bitsets, in a vector
-/// of exactly that length.
-fn and_rows(a: &[u64], b: &[u64], len: usize) -> Vec<u32> {
-    let mut rows = Vec::with_capacity(len);
-    for (w, (x, y)) in a.iter().zip(b).enumerate() {
-        let mut word = x & y;
-        let base = row_u32(w * 64);
-        while word != 0 {
-            rows.push(base + word.trailing_zeros());
-            word &= word - 1;
-        }
-    }
-    rows
+/// The ascending ids of the `len` rows set in both bitsets, where `len`
+/// is their [`and_count`]. `(0..len).map(..)` has a trusted length, so
+/// `collect` allocates the shared slice once and writes each id in
+/// place, with no `Vec` to copy from.
+pub(crate) fn and_rows(a: &[u64], b: &[u64], len: usize) -> Arc<[u32]> {
+    let mut words = a.iter().zip(b).map(|(x, y)| x & y).enumerate();
+    let (mut base, mut word) = (0, 0u64);
+    (0..len)
+        .map(|_| {
+            if word == 0 {
+                if let Some((w, next)) = words.find(|&(_, x)| x != 0) {
+                    (base, word) = (row_u32(w * 64), next);
+                }
+            }
+            let row = base + word.trailing_zeros();
+            word &= word.wrapping_sub(1);
+            row
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -384,7 +404,7 @@ mod tests {
             nodes.iter().take(2).map(|n| n.rows.len()).sum();
         assert_eq!(total_attr0, d.num_rows());
         // a = x selects rows 0, 1.
-        assert_eq!(nodes[0].rows, vec![0, 1]);
+        assert_eq!(*nodes[0].rows, [0, 1]);
     }
 
     #[test]
@@ -409,7 +429,7 @@ mod tests {
         for c in &exp.children {
             assert_eq!(c.predicate.len(), 2);
             // Selection equals a fresh scan.
-            assert_eq!(c.rows, c.predicate.select(&d));
+            assert_eq!(*c.rows, c.predicate.select(&d));
         }
     }
 
@@ -452,7 +472,7 @@ mod tests {
         for node in ranges {
             assert_eq!(node.predicate.literals()[0].attr, 1, "only ordinal attr");
             // Selection consistent with a fresh scan.
-            assert_eq!(node.rows, node.predicate.select(&d));
+            assert_eq!(*node.rows, node.predicate.select(&d));
             // Ranges are proper subsets of everything — never empty, never all
             // (card 3, cuts strictly inside).
             assert!(!node.rows.is_empty());
@@ -500,7 +520,7 @@ mod tests {
         assert_eq!(exp.children.len(), 3);
         for c in &exp.children {
             assert_eq!(c.predicate.len(), 2);
-            assert_eq!(c.rows, c.predicate.select(&d));
+            assert_eq!(*c.rows, c.predicate.select(&d));
             // The lone parent's ρ becomes the child's Rule-4 floor.
             assert!((c.parent_floor - 0.7).abs() < 1e-12);
         }
@@ -544,7 +564,7 @@ mod tests {
     fn node_support() {
         let node = LatticeNode {
             predicate: Predicate::single(Literal::eq(0, 0)),
-            rows: vec![1, 2],
+            rows: [1, 2].into(),
             rho: None,
             parent_floor: f64::NEG_INFINITY,
         };

@@ -40,11 +40,18 @@
 //! For checkpointable, step-at-a-time searches, [`SearchDriver`] exposes
 //! the same loop one level per call with its [`SearchState`] inspectable
 //! (and reinjectable) at every level boundary.
+//!
+//! The level-1 → 2 join goes through a [`PairTable`]: each child of two
+//! level-1 literals is joined once per training set and shared. A driver
+//! builds one over its level-1 frontier, or borrows a long-lived one
+//! ([`SearchDriver::with_pairs`]) so that many searches over the same
+//! data join each pair once between them.
 
 #![warn(missing_docs)]
 
 pub mod expand;
 pub mod literal;
+pub mod pairs;
 pub mod params;
 pub mod predicate;
 pub mod search;
@@ -54,6 +61,7 @@ pub use expand::{
     LatticeNode, LiteralGen,
 };
 pub use literal::{Literal, Op};
+pub use pairs::PairTable;
 pub use params::{LatticeError, RuleToggles, SearchParams, SupportRange};
 pub use predicate::{intersect_sorted, Predicate};
 pub use search::{

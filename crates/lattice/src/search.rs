@@ -12,11 +12,15 @@
 //!   and exposes its [`SearchState`] between steps — the resumable core
 //!   `fume-core` checkpoints at every level boundary.
 
+use std::sync::Arc;
+
 use fume_tabular::{float, Dataset};
 
 use crate::expand::{
-    expand_level_with, expand_singleton_with, level1_nodes_with, LatticeNode, LiteralGen,
+    expand_level_with, expand_singleton_with, level1_nodes_with, Expansion, LatticeNode,
+    LiteralGen,
 };
+use crate::pairs::PairTable;
 use crate::params::{LatticeError, SearchParams};
 use crate::predicate::Predicate;
 
@@ -54,8 +58,9 @@ where
 pub struct EvaluatedSubset {
     /// The predicate.
     pub predicate: Predicate,
-    /// Sorted training-row ids it selects.
-    pub rows: Vec<u32>,
+    /// Sorted training-row ids it selects, shared with the lattice node
+    /// it was evaluated as.
+    pub rows: Arc<[u32]>,
     /// Its support in the training set.
     pub support: f64,
     /// Its parity reduction `ρ = −φ` (positive = attributable).
@@ -218,12 +223,13 @@ pub struct SearchDriver<'a> {
     data: &'a Dataset,
     params: &'a SearchParams,
     state: SearchState,
+    pairs: Option<&'a PairTable>,
 }
 
 impl<'a> SearchDriver<'a> {
     /// Starts a fresh search over `data`.
     pub fn new(data: &'a Dataset, params: &'a SearchParams) -> Self {
-        Self { data, params, state: SearchState::initial(data, params) }
+        Self::with_state(data, params, SearchState::initial(data, params))
     }
 
     /// Continues a search from a previously captured [`SearchState`]
@@ -234,7 +240,40 @@ impl<'a> SearchDriver<'a> {
         params: &'a SearchParams,
         state: SearchState,
     ) -> Self {
-        Self { data, params, state }
+        Self { data, params, state, pairs: None }
+    }
+
+    /// Expands level 1 through `pairs`, a table that outlives this
+    /// search, instead of one built over the level-1 frontier when level
+    /// 1 is stepped. The table must have been built over this search's
+    /// level-1 frontier (the nodes of its starting state share their
+    /// selections with it); a node it does not hold makes the level-1
+    /// expansion join the frontier itself, with the same answer.
+    ///
+    /// ```
+    /// use fume_lattice::{
+    ///     PairTable, Predicate, SearchDriver, SearchParams, SearchState, SupportRange,
+    /// };
+    /// use fume_tabular::datasets::planted_toy;
+    ///
+    /// let (data, _) = planted_toy().generate_scaled(0.1, 1).unwrap();
+    /// let level1 = SearchState::initial(&data, &SearchParams::paper_defaults());
+    /// let pairs = PairTable::new(&data, &level1.frontier);
+    /// let eval = |_: &Predicate, rows: &[u32]| 1.0 / (1.0 + rows.len() as f64);
+    /// for (min, max) in [(0.02, 0.3), (0.05, 0.5)] {
+    ///     let params = SearchParams::new(SupportRange::new(min, max).unwrap(), 2).unwrap();
+    ///     let mut driver =
+    ///         SearchDriver::with_state(&data, &params, level1.clone()).with_pairs(&pairs);
+    ///     while driver.step(&eval).unwrap() {}
+    ///     let mut fresh = SearchDriver::new(&data, &params);
+    ///     while fresh.step(&eval).unwrap() {}
+    ///     assert_eq!(driver.into_outcome(), fresh.into_outcome());
+    /// }
+    /// ```
+    #[must_use]
+    pub fn with_pairs(mut self, pairs: &'a PairTable) -> Self {
+        self.pairs = Some(pairs);
+        self
     }
 
     /// The current level-boundary state.
@@ -281,6 +320,18 @@ impl<'a> SearchDriver<'a> {
         };
         let frontier = std::mem::take(&mut st.frontier);
         stats.generated = frontier.len();
+        // Level 1 expands through a pair table: the one lent by
+        // `with_pairs`, or one over this frontier, built before Rule 2
+        // splits it.
+        let built;
+        let pairs = match self.pairs {
+            _ if level != 1 || level == params.max_literals => None,
+            Some(pairs) => Some(pairs),
+            None => {
+                built = PairTable::new(self.data, &frontier);
+                Some(&built)
+            }
+        };
 
         // --- Rule 2: support filtering. Tolerant at the τ bounds: a
         //     support landing within float::EPSILON of τ_min/τ_max counts
@@ -394,25 +445,37 @@ impl<'a> SearchDriver<'a> {
             return Ok(false);
         }
         let mut expand_span = fume_obs::span!("lattice.expand");
-        let expansion = match expandable.as_slice() {
+        let (rule1, redundant) =
+            (params.toggles.rule1_satisfiability, params.toggles.prune_redundant);
+        let reference = || match expandable.as_slice() {
             [node] => expand_singleton_with(
                 self.data,
                 node,
                 &params.exclude_attrs,
                 params.literal_gen,
-                params.toggles.rule1_satisfiability,
-                params.toggles.prune_redundant,
+                rule1,
+                redundant,
             ),
-            _ => expand_level_with(
-                self.data,
-                &expandable,
-                params.toggles.rule1_satisfiability,
-                params.toggles.prune_redundant,
-            ),
+            nodes => expand_level_with(self.data, nodes, rule1, redundant),
+        };
+        let from_table = pairs.and_then(|pairs| match expandable.as_slice() {
+            [node] => pairs.expand_singleton(node, rule1, redundant),
+            nodes => pairs.expand(nodes, rule1, redundant),
+        });
+        let expansion = match from_table {
+            Some(expansion) => {
+                if fume_obs::deepcheck_enabled() {
+                    assert_same_outcome(&expansion, &fume_obs::audit(reference));
+                }
+                expansion
+            }
+            None => reference(),
         };
         expand_span.record("pairs", expansion.possible);
         expand_span.record("children", expansion.children.len());
+        expand_span.record("joined", expansion.joined);
         drop(expand_span);
+        fume_obs::counter!("lattice.pairs_joined", expansion.joined);
         st.possible = expansion.possible;
         st.pruned_rule1 = expansion.pruned_rule1;
         st.pruned_redundant = expansion.pruned_redundant;
@@ -423,6 +486,17 @@ impl<'a> SearchDriver<'a> {
         }
         Ok(!st.done)
     }
+}
+
+/// The `FUME_DEEPCHECK` comparison of a pair table's expansion with the
+/// reference join: every field but the work count.
+fn assert_same_outcome(got: &Expansion, want: &Expansion) {
+    assert!(
+        got.children == want.children
+            && (got.possible, got.pruned_rule1, got.pruned_redundant)
+                == (want.possible, want.pruned_rule1, want.pruned_redundant),
+        "FUME_DEEPCHECK: the pair table's level-1 expansion differs from the reference join"
+    );
 }
 
 /// Runs the level-wise search over `data`'s training rows.

@@ -158,6 +158,27 @@ pub fn audit<T>(f: impl FnOnce() -> T) -> T {
     f()
 }
 
+/// Whether deep checking (`FUME_DEEPCHECK=1`) is on for this process:
+/// every crate's fast paths then recompute their answers the reference
+/// way, as [`audit`]s, and assert that they agree.
+///
+/// Reads `FUME_DEEPCHECK` once and caches the answer, since the gate
+/// sits on hot paths. Always `false` in release builds.
+#[inline]
+pub fn deepcheck_enabled() -> bool {
+    if cfg!(debug_assertions) {
+        static DEEPCHECK: OnceLock<bool> = OnceLock::new();
+        *DEEPCHECK.get_or_init(|| {
+            matches!(
+                std::env::var("FUME_DEEPCHECK").as_deref(),
+                Ok("1") | Ok("true") | Ok("TRUE")
+            )
+        })
+    } else {
+        false
+    }
+}
+
 /// Sets a named gauge on the installed recorder (no-op when none).
 #[inline]
 pub fn set_gauge(name: &'static str, value: f64) {

@@ -118,6 +118,12 @@ FUME_DEEPCHECK=1 cargo test -q --offline --profile deepcheck --test unlearning_e
 # The work ledger's pinned counts must not move under deep checks: every
 # audit recomputation runs inside `fume_obs::audit`, which adds no counts.
 FUME_DEEPCHECK=1 cargo test -q --offline --profile deepcheck --test work_ledger
+# Every level-1 expansion reads a pair table (one per run, or one per
+# serve session); with deep checks on, each one is compared with the
+# reference join. The golden members take the one-shot table, and the
+# lattice's unit tests the driver's, with overflow checks on.
+FUME_DEEPCHECK=1 cargo test -q --offline --profile deepcheck --test golden_report
+FUME_DEEPCHECK=1 cargo test -q --offline --profile deepcheck -p fume-lattice --lib
 
 echo "==> lock-order deadlock detector: inversion fires, clean batteries stay silent"
 # The fume-obs sync suite includes a deliberate AB/BA inversion that must
@@ -125,7 +131,8 @@ echo "==> lock-order deadlock detector: inversion fires, clean batteries stay si
 # serve battery asserts zero cycles across a warm+cold session and a
 # poison-recovery round (fume.sync.* counters), and every served job
 # recomputes the session's prepared snapshot, level 1 and fingerprint
-# and asserts them equal. fume-serve's unit tests run the eval cache's
+# and asserts them equal, and each level-1 expansion its pair table
+# answers against the reference join. fume-serve's unit tests run the eval cache's
 # slab list against a reference LRU with overflow checks on its index
 # arithmetic.
 FUME_DEEPCHECK=1 cargo test -q --offline --profile deepcheck -p fume-obs sync

@@ -171,8 +171,9 @@ fn emitted_names_match_the_documented_vocabulary() {
             l.contains(r#""type":"span_end","name":"lattice.expand""#)
                 && l.contains(r#""fields":{"pairs":"#)
                 && l.contains(r#","children":"#)
+                && l.contains(r#","joined":"#)
         }),
-        "no lattice.expand span_end carries its pairs and children"
+        "no lattice.expand span_end carries its pairs, children and joined"
     );
     rec.reset();
 

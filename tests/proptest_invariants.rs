@@ -5,7 +5,7 @@
 
 mod common;
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use common::random_dataset;
 use fume::fairness::FairnessMetric;
@@ -14,10 +14,11 @@ use fume::forest::{gini, DareConfig, DareForest};
 use fume::lattice::expand::Expansion;
 use fume::lattice::{
     expand_level_with, expand_singleton_with, intersect_sorted, level1_nodes_with, LatticeNode,
-    Literal, LiteralGen, Op, Predicate,
+    Literal, LiteralGen, Op, PairTable, Predicate,
 };
 use fume::tabular::discretize::Discretizer;
 use fume::tabular::rng::{Rng, SeedableRng, StdRng};
+use fume::tabular::workers;
 use fume::tabular::{Attribute, Dataset, GroupSpec, Schema};
 
 #[test]
@@ -138,7 +139,7 @@ fn reference_child(
         out.pruned_redundant += 1;
         return;
     }
-    out.children.push(LatticeNode { predicate, rows, rho: None, parent_floor });
+    out.children.push(LatticeNode { predicate, rows: rows.into(), rho: None, parent_floor });
 }
 
 /// The pairwise join: every pair of frontier nodes, in predicate order,
@@ -200,7 +201,6 @@ fn assert_same_expansion(got: &Expansion, want: &Expansion, ctx: &str) {
     for (k, (g, w)) in got.children.iter().zip(&want.children).enumerate() {
         assert_eq!(g.predicate, w.predicate, "{ctx}: child {k} predicate");
         assert_eq!(g.rows, w.rows, "{ctx}: child {k} rows");
-        assert_eq!(g.rows.capacity(), g.rows.len(), "{ctx}: child {k} rows not exactly sized");
         assert_eq!(g.rho, None, "{ctx}: child {k} rho");
         assert_eq!(g.parent_floor.to_bits(), w.parent_floor.to_bits(), "{ctx}: child {k} floor");
     }
@@ -260,6 +260,91 @@ fn bitset_join_matches_the_sorted_list_join() {
     }
     assert!(joined > 0, "the battery must produce level-3 children");
     assert!(redundant > 0, "redundancy pruning must fire at level 3");
+}
+
+/// A warm expansion answers from the cells the cold one filled: the same
+/// children, each sharing its selection's allocation, and no joins.
+fn assert_warm(cold: &Expansion, warm: Option<Expansion>, ctx: &str) {
+    let warm = warm.unwrap_or_else(|| panic!("{ctx}: the table refused its own nodes"));
+    assert_same_expansion(&warm, cold, &format!("{ctx}, warm"));
+    assert_eq!(warm.joined, 0, "{ctx}: a warm expansion joined pairs again");
+    for (k, (w, c)) in warm.children.iter().zip(&cold.children).enumerate() {
+        assert!(Arc::ptr_eq(&w.rows, &c.rows), "{ctx}: warm child {k} copied its rows");
+    }
+}
+
+#[test]
+fn pair_table_matches_the_reference_join() {
+    // Word-boundary sizes (one row, 64 ± 1, 128 ± 1) and random ones.
+    let mut sizes = vec![1, 63, 64, 65, 127, 128, 129];
+    let mut rng = StdRng::seed_from_u64(0xC0DE_000A);
+    sizes.extend((0..24).map(|_| rng.gen_range(1..=300usize)));
+    let (mut children, mut redundant, mut singletons) = (0usize, 0usize, 0usize);
+    for (case, &n) in sizes.iter().enumerate() {
+        let data = random_mixed_dataset(&mut rng, n);
+        for gen in [LiteralGen::EqOnly, LiteralGen::WithRanges] {
+            // One table per dataset and literal scheme, shared by every
+            // toggle below, as a serve session shares one.
+            let level1 = level1_nodes_with(&data, &[], gen);
+            let table = PairTable::new(&data, &level1);
+            for (rule1, prune) in [(true, false), (true, true), (false, false), (false, true)] {
+                let ctx = format!("case {case} ({n} rows), {gen:?}, rule 1 {rule1}, redundancy {prune}");
+                // A random expandable subset of level 1, with random ρ
+                // and unevaluated (oversized) nodes.
+                let frontier = survivors(&mut rng, level1.clone());
+                let want = reference_join(&data, &frontier, rule1, prune);
+                let got = table
+                    .expand(&frontier, rule1, prune)
+                    .unwrap_or_else(|| panic!("{ctx}: the table refused its own nodes"));
+                assert_same_expansion(&got, &want, &format!("{ctx}, level 1→2"));
+                assert_warm(&got, table.expand(&frontier, rule1, prune), &ctx);
+                children += got.children.len();
+                redundant += got.pruned_redundant;
+
+                // A lone survivor, with its own ρ or none.
+                if let Some(node) = frontier.get(rng.gen_range(0..frontier.len().max(1))) {
+                    let ctx = format!("{ctx}, singleton {:?}", node.predicate);
+                    let want = reference_singleton(&data, node, gen, rule1, prune);
+                    let got = table
+                        .expand_singleton(node, rule1, prune)
+                        .unwrap_or_else(|| panic!("{ctx}: the table refused its own node"));
+                    assert_same_expansion(&got, &want, &ctx);
+                    assert_warm(&got, table.expand_singleton(node, rule1, prune), &ctx);
+                    singletons += 1;
+                }
+            }
+        }
+    }
+    assert!(children > 0 && singletons > 0, "the battery must produce children");
+    assert!(redundant > 0, "redundancy pruning must fire at level 2");
+}
+
+#[test]
+fn concurrent_fills_of_one_pair_table_agree_with_a_fresh_table() {
+    let mut rng = StdRng::seed_from_u64(0xC0DE_000B);
+    for round in 0..8 {
+        // Enough rows that the two fills overlap in time.
+        let n = rng.gen_range(1500..=2500usize);
+        let data = random_mixed_dataset(&mut rng, n);
+        let gen = if round % 2 == 0 { LiteralGen::EqOnly } else { LiteralGen::WithRanges };
+        let level1 = level1_nodes_with(&data, &[], gen);
+        let subsets = [survivors(&mut rng, level1.clone()), survivors(&mut rng, level1.clone())];
+        let shared = PairTable::new(&data, &level1);
+        let answers: [OnceLock<Expansion>; 2] = [OnceLock::new(), OnceLock::new()];
+        workers::scoped_workers(
+            2,
+            |i| {
+                let got = shared.expand(&subsets[i], true, false);
+                assert!(answers[i].set(got.expect("the table holds its own nodes")).is_ok());
+            },
+            || (),
+        );
+        for (i, subset) in subsets.iter().enumerate() {
+            let fresh = PairTable::new(&data, &level1).expand(subset, true, false).unwrap();
+            let got = answers[i].get().expect("each worker answers");
+            assert_same_expansion(got, &fresh, &format!("round {round}, thread {i}"));
+        }
+    }
 }
 
 #[test]

@@ -194,15 +194,7 @@ fn served_reports_with_exclusions_and_range_literals_match_plain_runs() {
     let request = ExplainRequest::new(&train, &test, group).with_model(&forest);
     let plain: Vec<String> = overrides
         .iter()
-        .map(|o| {
-            let mut config = base.clone().with_jobs(1);
-            config.metric = o.metric.unwrap_or(config.metric);
-            if let Some((min, max)) = o.support {
-                config.support = SupportRange::new(min, max).unwrap();
-            }
-            config.max_literals = o.max_literals.unwrap_or(config.max_literals);
-            Fume::new(config).run(&request).unwrap().to_json()
-        })
+        .map(|o| Fume::new(plain_config(&base, o)).run(&request).unwrap().to_json())
         .collect();
 
     let opts = EngineOptions { workers: 1, ..EngineOptions::default() };
@@ -219,6 +211,78 @@ fn served_reports_with_exclusions_and_range_literals_match_plain_runs() {
         assert_eq!(*got, plain[i % overrides.len()], "request {i}: served report differs");
     }
     assert!(engine.stats().cache.hits > 0, "the repeated requests hit the cache");
+}
+
+/// What a served job's config is: the engine's base config, the
+/// request's overrides, one eval job.
+fn plain_config(base: &FumeConfig, o: &ExplainOverrides) -> FumeConfig {
+    let mut config = base.clone().with_jobs(1);
+    config.metric = o.metric.unwrap_or(config.metric);
+    if let Some((min, max)) = o.support {
+        config.support = SupportRange::new(min, max).unwrap();
+    }
+    config.max_literals = o.max_literals.unwrap_or(config.max_literals);
+    config
+}
+
+/// Every job of a session reads level 2 from the one pair table of the
+/// engine's prepared value, filling its cells as they are first asked
+/// for. Two workers answering a wave of η = 3 requests at once fill the
+/// table concurrently, cold and then warm; each reply must be the plain
+/// run's, byte for byte, whichever job filled the cells it read.
+#[test]
+fn concurrent_jobs_filling_one_pair_table_match_plain_runs() {
+    let _g = serial();
+    use fume::core::{ExplainRequest, Fume};
+    use fume::fairness::FairnessMetric;
+    use fume::forest::DareForest;
+    use fume::lattice::LiteralGen;
+    use fume::tabular::datasets::german_credit;
+
+    let (data, group) = german_credit().generate_scaled(0.2, 42).unwrap();
+    let (train, test) = train_test_split(&data, 0.3, 42).unwrap();
+    let mut base = FumeConfig::default()
+        .with_forest(DareConfig::default().with_trees(5).with_seed(42))
+        .with_literal_gen(LiteralGen::WithRanges)
+        .with_max_literals(3);
+    base.exclude_attrs = vec![u16::try_from(group.attr).unwrap()];
+    let forest = DareForest::fit(&train, base.forest.clone());
+    let metrics = [FairnessMetric::StatisticalParity, FairnessMetric::EqualizedOdds];
+    let overrides: Vec<ExplainOverrides> = metrics
+        .into_iter()
+        .flat_map(|metric| {
+            [(0.05, 0.30), (0.10, 0.40)].map(|support| ExplainOverrides {
+                metric: Some(metric),
+                support: Some(support),
+                max_literals: Some(3),
+                ..ExplainOverrides::default()
+            })
+        })
+        .collect();
+    let request = ExplainRequest::new(&train, &test, group).with_model(&forest);
+    let plain: Vec<String> = overrides
+        .iter()
+        .map(|o| Fume::new(plain_config(&base, o)).run(&request).unwrap().to_json())
+        .collect();
+
+    let opts = EngineOptions { workers: 2, ..EngineOptions::default() };
+    let engine = Engine::with_forest(base, train, test, group, forest, opts).unwrap();
+    let served: Vec<String> = engine.serve(|h| {
+        // A cold wave, then a warm one; each wave is queued whole, so the
+        // two workers run its jobs side by side.
+        let mut replies = Vec::new();
+        for _wave in 0..2 {
+            let tickets: Vec<_> = overrides.iter().map(|o| h.explain(o.clone()).unwrap()).collect();
+            replies.extend(tickets.into_iter().map(|t| report_json(t.wait().unwrap())));
+        }
+        replies
+    });
+    assert_eq!(served.len(), 2 * plain.len());
+    for (i, got) in served.iter().enumerate() {
+        assert_eq!(*got, plain[i % plain.len()], "request {i}: served report differs");
+    }
+    let levels3 = plain.iter().filter(|json| json.contains(r#""level":3"#)).count();
+    assert!(levels3 > 0, "the wave must reach level 3");
 }
 
 #[test]

@@ -7,12 +7,14 @@
 //! the search. For a given seed they do not depend on the host or on the
 //! number of workers, so a change that makes the builder do other work
 //! (not the same work faster) moves them. `forest.tree_row_walks` counts
-//! the (tree, row) descents of the prediction passes. Re-pin [`PINNED`]
-//! only in a change that means to alter the work, and say so.
+//! the (tree, row) descents of the prediction passes, and
+//! `lattice.pairs_joined` the child selections the lattice computed by
+//! ANDing two parents' rows. Re-pin [`PINNED`] only in a change that
+//! means to alter the work, and say so.
 //!
 //! The served session counts what an engine does for a fixed request
 //! stream: metric evaluations, executed unlearn-evals, eval-cache hits
-//! and misses, generated lattice nodes and tree-row walks.
+//! and misses, generated lattice nodes, tree-row walks and joined pairs.
 //! [`SERVE_PINNED`] moves only when serving does other work.
 //!
 //! Under `FUME_DEEPCHECK=1` the counts are the same: the deep checks'
@@ -32,27 +34,31 @@ use fume::tabular::datasets::adult;
 use fume::tabular::split::train_test_split;
 
 /// The counters, in [`PINNED`] order.
-const COUNTERS: [&str; 4] = [
+const COUNTERS: [&str; 5] = [
     "forest.nodes_built",
     "forest.rows_histogrammed",
     "forest.rows_partitioned",
     "forest.tree_row_walks",
+    "lattice.pairs_joined",
 ];
 
 /// The counts of one Adult 3% × 20-tree explain at η = 2, 5–15% support,
 /// seed 41. The walks are one full pass for the violation check, one for
 /// the routes, and the rows under rebuilt subtrees in each eval's
-/// rerouted pass; with a full pass per eval they read 1,359,380.
-const PINNED: [u64; 4] = [480_111, 27_399_342, 7_157_152, 631_457];
+/// rerouted pass; with a full pass per eval they read 1,359,380. The
+/// level-1 join ANDs 454 pairs, each once, through the run's own pair
+/// table.
+const PINNED: [u64; 5] = [480_111, 27_399_342, 7_157_152, 631_457, 454];
 
 /// The served-session counters, in [`SERVE_PINNED`] order.
-const SERVE_COUNTERS: [&str; 6] = [
+const SERVE_COUNTERS: [&str; 7] = [
     "fairness.metric_evals",
     "fume.unlearn_evals",
     "fume.serve.cache.hits",
     "fume.serve.cache.misses",
     "lattice.generated",
     "forest.tree_row_walks",
+    "lattice.pairs_joined",
 ];
 
 /// The counts of one session of an Adult 2% × 5-tree engine (seed 41,
@@ -65,7 +71,12 @@ const SERVE_COUNTERS: [&str; 6] = [
 /// The session walks 5 trees × 271 test rows for the snapshot and again
 /// for the routes, then the rows under rebuilt subtrees per executed eval;
 /// with a full pass per eval (787 passes) the walks read 1,066,385.
-const SERVE_PINNED: [u64; 6] = [789, 786, 2_956, 786, 9_370, 465_094];
+///
+/// The session joins 544 level-1 pairs, each once, in the pair table of
+/// the engine's prepared value; when every request joined its own level
+/// 1 the count read 8,482. `lattice.generated` does not move: a warm
+/// request generates the same children, from the table.
+const SERVE_PINNED: [u64; 7] = [789, 786, 2_956, 786, 9_370, 465_094, 544];
 
 /// Serializes the tests of this binary around the global recorder.
 fn serial() -> MutexGuard<'static, ()> {
@@ -75,7 +86,7 @@ fn serial() -> MutexGuard<'static, ()> {
 
 /// Runs the explain with `jobs` workers for the fit and for the evals,
 /// and reads the [`COUNTERS`].
-fn ledger(jobs: usize) -> [u64; 4] {
+fn ledger(jobs: usize) -> [u64; 5] {
     let rec = fume::obs::install();
     rec.reset();
     let seed = 41;
